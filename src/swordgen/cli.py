@@ -18,7 +18,7 @@ import json
 import sys
 import time
 
-from . import greedy, kernels, oracle, stirling, trees, zigzag
+from . import greedy, oracle, stirling, trees, zigzag
 from .greedy import GrayCodeRun, run_to_payload
 from .oracle import SizeLimitError
 from .patterns import LanguageSpec, normalize_patterns
@@ -185,15 +185,16 @@ def _cmd_trace(args) -> int:
 
 def _cmd_zigzag(args) -> int:
     pats = _parse_avoid(args.avoid)
+    if args.mode in ("semantic", "both"):
+        if args.shape is None:
+            raise ValueError(f"--mode {args.mode} needs --shape")
+        shape = parse_shape(args.shape)
     negative = False
     if args.mode in ("syntactic", "both"):
         verdict = zigzag.syntactic_zigzag(pats)
         print(f"syntactic: {verdict}")
         negative = negative or not verdict
     if args.mode in ("semantic", "both"):
-        if args.shape is None:
-            raise ValueError("--mode semantic needs --shape")
-        shape = parse_shape(args.shape)
         ok, witness = zigzag.semantic_zigzag(LanguageSpec(shape, pats), args.cap)
         print(f"semantic: {ok}")
         if witness is not None:
@@ -264,28 +265,14 @@ def _cmd_path(args) -> int:
 def _cmd_bench(args) -> int:
     shape = parse_shape(args.shape)
     expected = oracle.stirling_count(shape)
-    backends = ["numba", "python"] if args.backend == "both" else [args.backend]
-    if "numba" in backends and not kernels.HAVE_NUMBA:
-        print("numba is not importable; skipping that backend", file=sys.stderr)
-        backends = [b for b in backends if b != "numba"]
-        if not backends:
-            return 2
     print(f"shape={_fmt_vec(shape.multiplicities)} formula={expected}")
-    for backend in backends:
-        if backend == "numba":
-            kernels.stirling_visit_count(shape, backend)  # compile outside the clock
-        begin = time.perf_counter()
-        count = kernels.stirling_visit_count(shape, backend)
-        elapsed = time.perf_counter() - begin
-        rate = count / elapsed if elapsed > 0 else float("inf")
-        agree = "ok" if count == expected else "MISMATCH"
-        print(
-            f"backend={backend} words={count} seconds={elapsed:.6f} "
-            f"words_per_sec={rate:.0f} {agree}"
-        )
-        if count != expected:
-            return 1
-    return 0
+    begin = time.perf_counter()
+    count = stirling.generate_loopless(shape)
+    elapsed = time.perf_counter() - begin
+    rate = count / elapsed if elapsed > 0 else float("inf")
+    agree = "ok" if count == expected else "MISMATCH"
+    print(f"words={count} seconds={elapsed:.6f} words_per_sec={rate:.0f} {agree}")
+    return 0 if count == expected else 1
 
 
 # --- parser -----------------------------------------------------------------
@@ -337,8 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("path", _cmd_path, "inversion-vector path through the box")
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
 
-    p = add("bench", _cmd_bench, "time the loopless kernel")
-    p.add_argument("--backend", choices=("numba", "python", "both"), default="both")
+    add("bench", _cmd_bench, "time the loopless counter")
 
     return parser
 
@@ -354,7 +340,7 @@ def parse_and_dispatch(argv) -> int:
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, kernels.BackendError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,9 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-import numpy as np
-
-from . import kernels, oracle
+from . import oracle
 from .bumps import LEFT, RIGHT, BumpMove, classify_move
 from .bumps import _shift  # shared move primitive
 from .oracle import Language, SizeLimitError
@@ -85,7 +83,7 @@ class GrayCodeReport:
         )
 
 
-def _scan_python(
+def _scan(
     shape: Shape,
     start: Word,
     member: Callable[[Word], bool],
@@ -171,47 +169,6 @@ def _bump_blocks(shape: Shape, w: Word):
             lead -= 1
 
 
-def _language_codes(
-    shape: Shape, patterns: frozenset[Word], cap: int | None, backend: str | None
-) -> tuple[Optional[np.ndarray], int]:
-    """Sorted encoded language (None means the full shape) and its size."""
-    if not patterns:
-        return None, oracle._check_cap(shape, cap)
-    if patterns == oracle.STIRLING_PATTERNS:
-        oracle._check_cap(shape, cap)
-        codes = kernels.enum_codes(shape, True, oracle.stirling_count(shape), backend)
-        return np.sort(codes), len(codes)
-    lang = oracle.language(shape, patterns, cap, backend)
-    return np.sort(kernels.encode_words(lang.words)), len(lang)
-
-
-def generate_greedy_codes(
-    shape: Shape,
-    patterns=frozenset(),
-    *,
-    start: Word | None = None,
-    cap: int | None = None,
-    backend: str | None = None,
-):
-    """Bulk form of `generate_greedy`: encoded visit sequence plus raw move
-    arrays (ranks, dirs as +1/-1, widths, distances, anchors) and the
-    completeness verdict.  Intended for large sweeps where materializing
-    tuples would dominate."""
-    pats = normalize_patterns(patterns)
-    if not kernels.supported(shape):
-        raise SizeLimitError(f"shape {shape.multiplicities} exceeds the encoded-word range")
-    word = start if start is not None else nondecreasing_word(shape)
-    validate_word(shape, word)
-    if not avoids_all(word, pats):
-        raise InvalidStartError("start word is outside the language")
-    lang_codes, size = _language_codes(shape, pats, cap, backend)
-    codes, ranks, dirs, widths, dists, anchors = kernels.greedy_run_codes(
-        shape, word, lang_codes, size, backend
-    )
-    complete = len(codes) == size
-    return codes, (ranks, dirs, widths, dists, anchors), complete
-
-
 def generate_greedy(
     shape: Shape,
     patterns=frozenset(),
@@ -220,7 +177,6 @@ def generate_greedy(
     member: Callable[[Word], bool] | None = None,
     minimize_over_unvisited: bool = False,
     cap: int | None = None,
-    backend: str | None = None,
 ) -> GrayCodeRun:
     """Run the greedy engine from `start` (default: nondecreasing word).
 
@@ -236,51 +192,28 @@ def generate_greedy(
     if member is not None:
         if not member(word):
             raise InvalidStartError("start word fails the membership predicate")
-        words, moves = _scan_python(shape, word, member, minimize_over_unvisited)
+        words, moves = _scan(shape, word, member, minimize_over_unvisited)
         return GrayCodeRun(shape, None, tuple(words), tuple(moves), False, NO_NEW_BUMP)
 
     pats = normalize_patterns(patterns)
     if not avoids_all(word, pats):
         raise InvalidStartError("start word is outside the language")
 
-    use_kernel = (
-        not minimize_over_unvisited
-        and kernels.resolve_backend(backend) == "numba"
-        and kernels.supported(shape)
-    )
-    if use_kernel:
-        codes, (ranks, dirs, widths, dists, anchors), complete = generate_greedy_codes(
-            shape, pats, start=word, cap=cap, backend=backend
-        )
-        words = tuple(kernels.codes_to_words(codes, shape.n))
-        moves = tuple(
-            BumpMove(
-                rank=int(ranks[k]),
-                dir=RIGHT if dirs[k] == 1 else LEFT,
-                width=int(widths[k]),
-                distance=int(dists[k]),
-                anchor=int(anchors[k]),
-            )
-            for k in range(len(codes) - 1)
-        )
+    if pats == oracle.STIRLING_PATTERNS:
+        # test each candidate directly and take the size from the product
+        # formula; the cap still bounds the shape as for enumeration
+        oracle._check_cap(shape, cap)
+        member, size = avoids_212, oracle.stirling_count(shape)
     else:
-        if pats == oracle.STIRLING_PATTERNS:
-            # test each candidate directly and take the size from the product
-            # formula; the cap still bounds the shape as for enumeration
-            oracle._check_cap(shape, cap)
-            member, size = avoids_212, oracle.stirling_count(shape)
-        else:
-            lang = oracle.language(shape, pats, cap, backend)
-            member, size = lang.word_set().__contains__, len(lang)
-        words_list, moves_list = _scan_python(shape, word, member, minimize_over_unvisited)
-        words = tuple(words_list)
-        moves = tuple(moves_list)
-        complete = len(words) == size
+        lang = oracle.language(shape, pats, cap)
+        member, size = lang.word_set().__contains__, len(lang)
+    words, moves = _scan(shape, word, member, minimize_over_unvisited)
+    complete = len(words) == size
     return GrayCodeRun(
         shape,
         pats,
-        words,
-        moves,
+        tuple(words),
+        tuple(moves),
         complete,
         EXHAUSTED if complete else NO_NEW_BUMP,
     )

@@ -14,8 +14,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import kernels
-from .patterns import LanguageSpec, avoids_212, avoids_all
+from .patterns import LanguageSpec, avoids_212, avoids_all, normalize_patterns
 from .words import Shape, Word, make_shape, nondecreasing_word
 
 DEFAULT_CAP = 10_000_000
@@ -117,12 +116,9 @@ def _next_multiset_perm(a: list[int]) -> bool:
     return True
 
 
-def all_swords(shape: Shape, cap: int | None = None, backend: str | None = None) -> list[Word]:
+def all_swords(shape: Shape, cap: int | None = None) -> list[Word]:
     """All words of the shape in lexicographic order."""
-    size = _check_cap(shape, cap)
-    if kernels.resolve_backend(backend) == "numba" and kernels.supported(shape):
-        codes = kernels.enum_codes(shape, False, size, backend)
-        return kernels.codes_to_words(codes, shape.n)
+    _check_cap(shape, cap)
     a = list(nondecreasing_word(shape))
     out = [tuple(a)]
     while _next_multiset_perm(a):
@@ -154,22 +150,14 @@ def language(
     shape: Shape,
     patterns=frozenset(),
     cap: int | None = None,
-    backend: str | None = None,
 ) -> Language:
     """The pattern-avoiding words of the shape, lexicographically sorted."""
     spec = LanguageSpec(shape, frozenset(patterns) if not isinstance(patterns, frozenset) else patterns)
     pats = spec.patterns
-    if kernels.resolve_backend(backend) == "numba" and kernels.supported(shape):
-        if pats == STIRLING_PATTERNS:
-            _check_cap(shape, cap)
-            codes = kernels.enum_codes(shape, True, stirling_count(shape), backend)
-            return Language(spec, tuple(kernels.codes_to_words(codes, shape.n)))
-        if not pats:
-            return Language(spec, tuple(all_swords(shape, cap, backend)))
     if pats == STIRLING_PATTERNS:
-        words = tuple(w for w in all_swords(shape, cap, backend) if avoids_212(w))
+        words = tuple(w for w in all_swords(shape, cap) if avoids_212(w))
     else:
-        words = tuple(w for w in all_swords(shape, cap, backend) if avoids_all(w, pats))
+        words = tuple(w for w in all_swords(shape, cap) if avoids_all(w, pats))
     return Language(spec, words)
 
 
@@ -177,19 +165,15 @@ def count_avoiding(
     shape: Shape,
     patterns=frozenset(),
     cap: int | None = None,
-    backend: str | None = None,
 ) -> int:
     """Language size by enumeration (the oracle side of count checks)."""
-    pats = frozenset(patterns)
+    pats = normalize_patterns(patterns)
     if not pats:
         _check_cap(shape, cap)
         return multinomial(shape)
     if pats == STIRLING_PATTERNS:
-        _check_cap(shape, cap)
-        if kernels.resolve_backend(backend) == "numba" and kernels.supported(shape):
-            return kernels.count_212(shape, backend)
-        return sum(1 for w in all_swords(shape, cap, backend) if avoids_212(w))
-    return len(language(shape, pats, cap, backend).words)
+        return sum(avoids_212(w) for w in all_swords(shape, cap))
+    return len(language(shape, pats, cap).words)
 
 
 def all_shapes(total: int) -> list[Shape]:

@@ -10,9 +10,9 @@ regardless of word length.  Every visited word keeps the copies of each
 value adjacent-or-separated only by smaller digits, which is exactly
 avoidance of 212.
 
-The same loop is mirrored by an array kernel (see `kernels`) for bulk
-counting and benchmarking; this module is the reference implementation
-and also produces the per-visit variable trace.
+`_loopless` is the one implementation of the loop: it counts, streams,
+and produces the per-visit variable trace.  `step_stats` is its
+instrumented twin, kept statement for statement equal by a test.
 """
 
 from __future__ import annotations
@@ -20,32 +20,46 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import kernels, oracle
+from . import oracle
 from .bumps import LEFT, RIGHT, BumpMove
 from .greedy import EXHAUSTED, GrayCodeRun
 from .words import Shape, Word, make_shape, nondecreasing_word
 
 
-def _loopless(shape: Shape, on_visit) -> int:
-    """Drive the loop, reporting full live state at every visit.
-
-    `on_visit(perm, v, u, i, j, left, inv, fs, dirs)` sees the 0-based
-    word list plus the 1-based bookkeeping arrays (slot 0 unused) exactly
-    as they stand when the visit fires: the move described by (v, u, i, j)
-    is applied to `perm` right after the callback returns.  The final
-    visit passes v = 1 and u = i = j = None.  Returns the visit count.
-    """
+def _initial_state(shape: Shape):
+    """(m, s, t, perm, left, inv, fs, dirs) at the first visit: `perm` is
+    the 0-based word list, the rest are 1-based (slot 0 unused)."""
     m = shape.m
     s = (0,) + shape.multiplicities
     t = (0,) + shape.prefix
     perm = list(nondecreasing_word(shape))
-    left = [0] + [t[v] + 1 for v in range(1, m + 1)]
+    left = [0] * (m + 1)
+    for v in range(1, m + 1):
+        left[v] = t[v] + 1
     inv = [0] * (m + 1)
     fs = list(range(m + 1))
     dirs = [-1] * (m + 1)
+    return m, s, t, perm, left, inv, fs, dirs
+
+
+def _loopless(shape: Shape, on_visit=None) -> int:
+    """Drive the loop and return the visit count.
+
+    When given, `on_visit(perm, v, u, i, j, left, inv, fs, dirs)` sees the
+    live state exactly as it stands when the visit fires: the move
+    described by (v, u, i, j) is applied to `perm` right after the
+    callback returns.  The final visit passes v = 1 and u = i = j = None.
+    """
+    m, s, t, perm, left, inv, fs, dirs = _initial_state(shape)
     count = 0
-    v = fs[m]
-    while v > 1:
+    # `while True` ends in an unconditional backward jump, the only jump on
+    # which CPython 3.11 warms a function up for specialisation; a
+    # `while v > 1` loop would leave one long call about 2x slower
+    while True:
+        v = fs[m]
+        fs[m] = m
+        if v <= 1:
+            break
         d = dirs[v]
         if d == 1:
             i = left[v]
@@ -54,7 +68,8 @@ def _loopless(shape: Shape, on_visit) -> int:
             i = left[v] + s[v] - 1
             j = left[v] - 1
         u = perm[j - 1]
-        on_visit(perm, v, u, i, j, left, inv, fs, dirs)
+        if on_visit is not None:
+            on_visit(perm, v, u, i, j, left, inv, fs, dirs)
         count += 1
         perm[i - 1] = u
         perm[j - 1] = v
@@ -66,30 +81,31 @@ def _loopless(shape: Shape, on_visit) -> int:
             dirs[v] = -d
             fs[v] = fs[v - 1]
             fs[v - 1] = v - 1
-        v = fs[m]
-        fs[m] = m
-    on_visit(perm, v, None, None, None, left, inv, fs, dirs)
+    if on_visit is not None:
+        on_visit(perm, v, None, None, None, left, inv, fs, dirs)
     return count + 1
 
 
-def generate_loopless(shape: Shape, visit: Callable[[list[int]], None]) -> int:
-    """Feed every word to `visit` and return how many there were.
+def generate_loopless(
+    shape: Shape, visit: Optional[Callable[[list[int]], None]] = None
+) -> int:
+    """Feed every word to `visit` and return how many there were; without
+    a visitor the loop only counts.
 
     The consumer receives the live word list; it must copy if it keeps a
     reference, which keeps the generator itself allocation-free per step.
     """
+    if visit is None:
+        return _loopless(shape)
     return _loopless(shape, lambda perm, *_: visit(perm))
 
 
-def stirling_sequence(shape: Shape, backend: str | None = None) -> list[Word]:
+def stirling_sequence(shape: Shape) -> list[Word]:
     """The full visit order as tuples.
 
-    >>> stirling_sequence(make_shape((1, 2)), backend="python")
+    >>> stirling_sequence(make_shape((1, 2)))
     [(1, 2, 2), (2, 2, 1)]
     """
-    if kernels.resolve_backend(backend) == "numba" and kernels.supported(shape):
-        codes, _, _, _ = kernels.stirling_run(shape, oracle.stirling_count(shape), backend)
-        return kernels.codes_to_words(codes, shape.n)
     out: list[Word] = []
     generate_loopless(shape, lambda perm: out.append(tuple(perm)))
     return out
@@ -165,8 +181,68 @@ def trace(shape: Shape) -> list[TraceRow]:
     return rows
 
 
-def step_stats(shape: Shape, backend: str | None = None) -> tuple[int, int]:
+def step_stats(shape: Shape) -> tuple[int, int]:
     """(visit count, max primitive steps spent between visits): the step
     maximum stays constant across shapes, which is the loopless claim in
-    checkable form."""
-    return kernels.stirling_step_stats(shape, backend)
+    checkable form.
+
+    The loop is `_loopless` with no visitor, plus a `steps += 1` after
+    every primitive statement and branch test other than the loop's exit
+    test.
+    """
+    m, s, t, perm, left, inv, fs, dirs = _initial_state(shape)
+    count = 0
+    max_steps = 0
+    while True:
+        steps = 0
+        v = fs[m]
+        steps += 1
+        fs[m] = m
+        steps += 1
+        if v <= 1:
+            break
+        d = dirs[v]
+        steps += 1
+        if d == 1:
+            steps += 1
+            i = left[v]
+            steps += 1
+            j = left[v] + s[v]
+            steps += 1
+        else:
+            steps += 1
+            i = left[v] + s[v] - 1
+            steps += 1
+            j = left[v] - 1
+            steps += 1
+        u = perm[j - 1]
+        steps += 1
+        count += 1
+        steps += 1
+        perm[i - 1] = u
+        steps += 1
+        perm[j - 1] = v
+        steps += 1
+        left[v] += d
+        steps += 1
+        if left[u] == j:
+            steps += 1
+            left[u] -= d * s[v]
+            steps += 1
+        else:
+            steps += 1
+        inv[v] -= d
+        steps += 1
+        if inv[v] == 0 or inv[v] == t[v]:
+            steps += 1
+            dirs[v] = -d
+            steps += 1
+            fs[v] = fs[v - 1]
+            steps += 1
+            fs[v - 1] = v - 1
+            steps += 1
+        else:
+            steps += 1
+        if steps > max_steps:
+            max_steps = steps
+    return count + 1, max_steps

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from . import kernels, oracle
+from . import oracle
 from .greedy import GrayCodeRun
 from .patterns import avoids_212, avoids_all
 from .stirling import stirling_sequence
@@ -167,14 +167,11 @@ def word_from_inversion_vector(shape: Shape, iv: Sequence[int]) -> Word:
     return tuple(out)
 
 
-def hamilton_path(shape: Shape, backend: str | None = None) -> list[InvVector]:
+def hamilton_path(shape: Shape) -> list[InvVector]:
     """Inversion vectors along the generated order: every vector in the
     box Π[0..t_v] exactly once, consecutive ones differing by one step in
     one coordinate."""
-    if kernels.resolve_backend(backend) == "numba" and kernels.supported(shape):
-        _, invs, _, _ = kernels.stirling_run(shape, oracle.stirling_count(shape), backend)
-        return kernels.codes_to_words(invs, shape.m)
-    return [inversion_vector(w) for w in stirling_sequence(shape, backend)]
+    return [inversion_vector(w) for w in stirling_sequence(shape)]
 
 
 # --- k-ary trees ------------------------------------------------------------

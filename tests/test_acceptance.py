@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 
-from swordgen import kernels
 from swordgen.bumps import BumpError, LEFT, RIGHT, apply_jump, classify_move
 from swordgen.cli import parse_and_dispatch
 from swordgen.greedy import generate_greedy, parent_shape, project_to_parent
@@ -23,7 +22,7 @@ from swordgen.oracle import (
     stirling_count,
 )
 from swordgen.patterns import LanguageSpec, contains_pattern, normalize_patterns
-from swordgen.stirling import generate_loopless, stirling_sequence
+from swordgen.stirling import generate_loopless, step_stats, stirling_sequence
 from swordgen.trees import (
     all_kary_trees,
     hamilton_path,
@@ -34,7 +33,7 @@ from swordgen.trees import (
     tree_to_stirling_word,
     word_from_inversion_vector,
 )
-from swordgen.words import make_shape, nondecreasing_word
+from swordgen.words import make_shape
 from swordgen.zigzag import peakless_language, semantic_zigzag, syntactic_zigzag
 
 TRACE_TABLE = [
@@ -131,20 +130,8 @@ def test_criterion_4_engine_equivalence(capsys):
     bad = []
     for total in range(1, 10):
         for shape in all_shapes(total):
-            count = stirling_count(shape)
-            if kernels.HAVE_NUMBA and kernels.supported(shape):
-                # membership lookups binary-search the language table
-                lang = np.sort(kernels.enum_codes(shape, True, multinomial(shape)))
-                greedy_codes = kernels.greedy_run_codes(
-                    shape, nondecreasing_word(shape), lang, count
-                )[0]
-                loopless_codes = kernels.stirling_run(shape, count)[0]
-                same = len(greedy_codes) == count and np.array_equal(
-                    greedy_codes, loopless_codes
-                )
-            else:
-                run = generate_greedy(shape, {"212"}, backend="python")
-                same = list(run.words) == stirling_sequence(shape, backend="python")
+            run = generate_greedy(shape, {"212"})
+            same = list(run.words) == stirling_sequence(shape)
             checked += 1
             if not same:
                 bad.append(shape.multiplicities)
@@ -187,12 +174,7 @@ def test_criterion_5_gray_property(capsys):
     for total in range(1, 9):
         for shape in all_shapes(total):
             arrays = [np.array(cached_run(shape.multiplicities, GRAY_MATRIX[0]).words, dtype=np.int8)]
-            count = stirling_count(shape)
-            if kernels.HAVE_NUMBA and kernels.supported(shape):
-                codes = kernels.stirling_run(shape, count)[0]
-                arrays.append(kernels.decode_codes(codes, shape.n).astype(np.int8))
-            else:
-                arrays.append(np.array(stirling_sequence(shape, backend="python"), dtype=np.int8))
+            arrays.append(np.array(stirling_sequence(shape), dtype=np.int8))
             for arr in arrays:
                 if len(arr) < 2:
                     continue
@@ -217,7 +199,7 @@ def test_criterion_6_counting_identities(capsys):
     for total in range(1, 10):
         for shape in all_shapes(total):
             shapes_checked += 1
-            if kernels.stirling_visit_count(shape) != stirling_count(shape):
+            if generate_loopless(shape) != stirling_count(shape):
                 bad.append(shape.multiplicities)
     if stirling_count(make_shape((2, 1, 3))) != 12:
         bad.append("(2,1,3) formula")
@@ -263,11 +245,7 @@ def test_criterion_7_hamilton_path(capsys):
         for shape in all_shapes(total):
             shapes_checked += 1
             count = stirling_count(shape)
-            if kernels.HAVE_NUMBA and kernels.supported(shape):
-                invs = kernels.stirling_run(shape, count)[1]
-                mat = kernels.decode_codes(invs, shape.m).astype(np.int16)
-            else:
-                mat = np.array(hamilton_path(shape, backend="python"), dtype=np.int16)
+            mat = np.array(hamilton_path(shape), dtype=np.int16)
             if len(mat) != count or len(np.unique(mat, axis=0)) != count:
                 bad.append((shape.multiplicities, "coverage"))
                 continue
@@ -275,15 +253,6 @@ def test_criterion_7_hamilton_path(capsys):
                 steps = np.abs(mat[1:] - mat[:-1]).sum(axis=1)
                 if not (steps == 1).all():
                     bad.append((shape.multiplicities, "step"))
-    # second route on small shapes: recompute vectors from the words
-    for total in range(1, 8):
-        for shape in all_shapes(total):
-            count = stirling_count(shape)
-            if kernels.HAVE_NUMBA and kernels.supported(shape):
-                invs = kernels.stirling_run(shape, count)[1]
-                from_kernel = kernels.codes_to_words(invs, shape.m)
-                if from_kernel != hamilton_path(shape, backend="python"):
-                    bad.append((shape.multiplicities, "backend mismatch"))
     ok = not bad
     announce(
         capsys, 7,
@@ -434,14 +403,13 @@ def test_criterion_11_bijections(capsys):
 
 def test_criterion_12_loopless_performance(capsys):
     shape = make_shape((2,) * 8)
-    kernels.warm_up()
     begin = time.perf_counter()
-    count = kernels.stirling_visit_count(shape)
+    count = generate_loopless(shape)
     elapsed = time.perf_counter() - begin
 
     maxima = set()
     for mult in [(1, 1, 1), (2, 1, 3), (1,) * 8, (2,) * 6, (4, 3, 2, 1), (2,) * 8]:
-        _, max_steps = kernels.stirling_step_stats(make_shape(mult))
+        _, max_steps = step_stats(make_shape(mult))
         maxima.add(max_steps)
 
     ok = count == 2_027_025 and elapsed < 2.0 and len(maxima) == 1

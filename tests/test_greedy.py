@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from swordgen import kernels
 from swordgen.bumps import classify_move
 from swordgen.greedy import (
     EXHAUSTED,
@@ -19,38 +18,31 @@ from swordgen.greedy import (
     run_to_payload,
     verify_gray_code,
 )
-from swordgen.oracle import STIRLING_PATTERNS, SizeLimitError, all_shapes, language
+from swordgen.oracle import SizeLimitError, all_shapes, language
 from swordgen.patterns import avoids_all, normalize_patterns
 from swordgen.words import WordError, make_shape, nondecreasing_word
-
-BACKENDS = ["python"] + (["numba"] if kernels.HAVE_NUMBA else [])
-
 
 def words_of(run):
     return ["".join(map(str, w)) for w in run.words]
 
 
 class TestKnownSequences:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_full_language_of_two_twos(self, backend):
-        run = generate_greedy(make_shape((2, 2)), backend=backend)
+    def test_full_language_of_two_twos(self):
+        run = generate_greedy(make_shape((2, 2)))
         assert words_of(run) == ["1122", "1221", "1212", "2112", "2121", "2211"]
         assert run.complete and run.halted_reason == EXHAUSTED
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_avoid_231_on_permutations(self, backend):
-        run = generate_greedy(make_shape((1, 1, 1)), {"231"}, backend=backend)
+    def test_avoid_231_on_permutations(self):
+        run = generate_greedy(make_shape((1, 1, 1)), {"231"})
         assert words_of(run) == ["123", "132", "312", "321", "213"]
         assert run.complete
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_plain_changes(self, backend):
-        run = generate_greedy(make_shape((1, 1, 1)), backend=backend)
+    def test_plain_changes(self):
+        run = generate_greedy(make_shape((1, 1, 1)))
         assert words_of(run) == ["123", "132", "312", "321", "231", "213"]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_stirling_order(self, backend):
-        run = generate_greedy(make_shape((2, 1, 3)), {"212"}, backend=backend)
+    def test_stirling_order(self):
+        run = generate_greedy(make_shape((2, 1, 3)), {"212"})
         assert words_of(run) == [
             "112333", "113332", "133312", "333112", "333121", "133321",
             "123331", "121333", "211333", "213331", "233311", "333211",
@@ -64,17 +56,6 @@ class TestKnownSequences:
 
 
 class TestEngineOptions:
-    @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="needs numba")
-    def test_backends_emit_identical_runs(self):
-        pattern_sets = [frozenset(), STIRLING_PATTERNS, normalize_patterns({"231"})]
-        for shape in all_shapes(5):
-            for pats in pattern_sets:
-                py = generate_greedy(shape, pats, backend="python")
-                nb = generate_greedy(shape, pats, backend="numba")
-                assert py.words == nb.words, (shape.multiplicities, pats)
-                assert py.moves == nb.moves
-                assert py.complete == nb.complete
-
     def test_alternative_rule_keeps_widening(self):
         # on this non-zig-zag language the rules genuinely differ
         shape = make_shape((2, 1, 2, 1))

@@ -1,7 +1,9 @@
-import pytest
+import ast
+import inspect
+import textwrap
 
-from swordgen import kernels
-from swordgen.bumps import classify_move
+from swordgen import stirling
+from swordgen.bumps import LEFT, RIGHT, classify_move
 from swordgen.greedy import verify_gray_code
 from swordgen.oracle import all_shapes, language, stirling_count
 from swordgen.stirling import (
@@ -12,10 +14,8 @@ from swordgen.stirling import (
     stirling_sequence,
     trace,
 )
-from swordgen.trees import inversion_vector
+from swordgen.trees import hamilton_path, inversion_vector
 from swordgen.words import make_shape
-
-BACKENDS = ["python"] + (["numba"] if kernels.HAVE_NUMBA else [])
 
 # every visit of the (2,1,3) run with its full variable state
 TRACE_213 = [
@@ -44,28 +44,26 @@ class TestTrace:
 
 
 class TestSequences:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_plain_changes(self, backend):
-        got = stirling_sequence(make_shape((1, 1, 1)), backend=backend)
+    def test_plain_changes(self):
+        got = stirling_sequence(make_shape((1, 1, 1)))
         assert got == [
             (1, 2, 3), (1, 3, 2), (3, 1, 2), (3, 2, 1), (2, 3, 1), (2, 1, 3),
         ]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_tiny_shapes(self, backend):
-        assert stirling_sequence(make_shape((3,)), backend=backend) == [(1, 1, 1)]
-        assert stirling_sequence(make_shape((1, 2)), backend=backend) == [
+    def test_tiny_shapes(self):
+        assert stirling_sequence(make_shape((3,))) == [(1, 1, 1)]
+        assert stirling_sequence(make_shape((1, 2))) == [
             (1, 2, 2), (2, 2, 1),
         ]
 
     def test_matches_trace_words(self):
-        got = stirling_sequence(make_shape((2, 1, 3)), backend="python")
+        got = stirling_sequence(make_shape((2, 1, 3)))
         assert got == [row.perm for row in TRACE_213]
 
     def test_visits_stirling_language_exactly_once(self):
         for total in range(1, 8):
             for shape in all_shapes(total):
-                seq = stirling_sequence(shape, backend="python")
+                seq = stirling_sequence(shape)
                 assert len(seq) == stirling_count(shape)
                 assert set(seq) == language(shape, {"212"}).word_set()
                 assert len(set(seq)) == len(seq)
@@ -78,26 +76,34 @@ class TestSequences:
         assert raw[0] is raw[1]  # same list object every visit: copy to keep
         assert tuple(raw[0]) == (2, 2, 1)  # final state after the last move
 
+    def test_visit_count(self):
+        for total in range(1, 9):
+            for shape in all_shapes(total):
+                assert generate_loopless(shape) == stirling_count(shape)
 
-class TestKernelAgreement:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_run_columns_match_reference(self, backend):
+    def test_visit_count_for_n_16(self):
+        # the counter only walks the avoiding words, so n = 16 stays cheap
+        shape = make_shape((3, 3, 3, 3, 2, 2))
+        assert shape.n == 16
+        assert generate_loopless(shape) == stirling_count(shape)
+
+
+class TestTraceAgreement:
+    def test_run_columns_match_reference(self):
         for total in range(1, 8):
             for shape in all_shapes(total):
                 rows = trace(shape)
-                size = len(rows)
-                codes, invs, vs, ds = kernels.stirling_run(shape, size, backend)
-                assert kernels.codes_to_words(codes, shape.n) == [r.perm for r in rows]
-                assert kernels.codes_to_words(invs, shape.m) == [r.inv for r in rows]
-                assert list(vs) == [r.v for r in rows]
-                want_ds = [r.dirs[r.v - 1] for r in rows[:-1]] + [0]
-                assert list(ds) == want_ds
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_visit_count_kernel(self, backend):
-        for total in range(1, 9):
-            for shape in all_shapes(total):
-                assert kernels.stirling_visit_count(shape, backend) == stirling_count(shape)
+                run = loopless_run(shape)
+                assert list(run.words) == [r.perm for r in rows]
+                assert hamilton_path(shape) == [r.inv for r in rows]
+                assert len(run.moves) == len(rows) - 1
+                for word, mv, r in zip(run.words, run.moves, rows):
+                    # the run of r.v moves in its recorded direction from anchor r.i
+                    assert word[mv.anchor - 1] == r.v
+                    assert mv.anchor == r.i
+                    assert mv.width == shape.multiplicities[r.v - 1]
+                    assert mv.dir == (RIGHT if r.dirs[r.v - 1] == 1 else LEFT)
+                assert rows[-1].v == 1 and rows[-1].u is None
 
 
 class TestRunObject:
@@ -135,12 +141,40 @@ class TestInversionBookkeeping:
 
 
 class TestStepStats:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_counts_and_constant_bound(self, backend):
+    def test_counts_and_constant_bound(self):
         maxima = set()
         for mult in [(1, 1, 1), (2, 1, 3), (2, 2, 2), (1, 2, 3), (4, 4), (1,) * 7]:
             shape = make_shape(mult)
-            count, max_steps = step_stats(shape, backend)
+            count, max_steps = step_stats(shape)
             assert count == stirling_count(shape)
             maxima.add(max_steps)
         assert len(maxima) == 1  # the per-visit work does not grow with n or m
+
+    def test_twin_matches_the_loop(self):
+        # step_stats must count the real loop: with its step bookkeeping
+        # and the loop's visitor call removed, the two loop bodies are equal
+        def loop_body(func):
+            tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+            (loop,) = [node for node in ast.walk(tree) if isinstance(node, ast.While)]
+            return ast.dump(strip(loop))
+
+        def counts_steps(stmt):
+            if isinstance(stmt, (ast.Assign, ast.AugAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                return any(
+                    isinstance(t, ast.Name) and t.id in ("steps", "max_steps") for t in targets
+                )
+            if isinstance(stmt, ast.If):
+                names = {n.id for n in ast.walk(stmt.test) if isinstance(n, ast.Name)}
+                return "steps" in names or "on_visit" in names
+            return False
+
+        def strip(node):
+            for name in ("body", "orelse"):
+                if hasattr(node, name):
+                    setattr(node, name, [strip(s) for s in getattr(node, name) if not counts_steps(s)])
+            return node
+
+        twin = loop_body(stirling.step_stats)
+        assert twin == loop_body(stirling._loopless)
+        assert "steps" not in twin and "on_visit" not in twin

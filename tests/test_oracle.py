@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from swordgen import kernels
+from swordgen import oracle
 from swordgen.oracle import (
     KCATALAN_PATTERNS,
     PEAKLESS_PATTERNS,
@@ -34,14 +34,6 @@ class TestEnumeration:
     @pytest.mark.parametrize("mult", SMALL_SHAPES)
     def test_all_swords_matches_itertools(self, mult):
         assert list(all_swords(make_shape(mult))) == reference_words(mult)
-
-    @pytest.mark.parametrize("mult", SMALL_SHAPES)
-    def test_backends_agree(self, mult):
-        shape = make_shape(mult)
-        py = all_swords(shape, backend="python")
-        assert py == all_swords(shape)
-        if kernels.HAVE_NUMBA:
-            assert py == all_swords(shape, backend="numba")
 
     def test_language_filters(self):
         shape = make_shape((2, 2))
@@ -95,12 +87,18 @@ class TestCounting:
             for pats in (frozenset(), STIRLING_PATTERNS, KCATALAN_PATTERNS):
                 assert count_avoiding(shape, pats) == len(language(shape, pats))
 
-    def test_count_212_kernel_matches_formula(self):
-        for mult in [(2, 1, 3), (1, 1, 1, 1), (3, 3), (2, 2, 2)]:
-            shape = make_shape(mult)
-            assert kernels.count_212(shape, backend="python") == stirling_count(shape)
-            if kernels.HAVE_NUMBA:
-                assert kernels.count_212(shape, backend="numba") == stirling_count(shape)
+    def test_count_212_matches_formula(self):
+        for total in range(1, 9):
+            for shape in all_shapes(total):
+                assert count_avoiding(shape, STIRLING_PATTERNS) == stirling_count(shape)
+
+    def test_count_212_from_strings_skips_the_language(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("count_avoiding built the language")
+
+        monkeypatch.setattr(oracle, "language", refuse)
+        shape = make_shape((2, 2, 2, 2, 1))
+        assert count_avoiding(shape, {"212"}) == stirling_count(shape)
 
 
 class TestCap:

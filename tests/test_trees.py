@@ -3,7 +3,6 @@ import re
 
 import pytest
 
-from swordgen import kernels
 from swordgen.oracle import all_shapes, k_catalan, language, stirling_count
 from swordgen.stirling import loopless_run
 from swordgen.trees import (
@@ -21,9 +20,6 @@ from swordgen.trees import (
     word_from_inversion_vector,
 )
 from swordgen.words import WordError, make_shape
-
-BACKENDS = ["python"] + (["numba"] if kernels.HAVE_NUMBA else [])
-
 
 def stirling_words(total):
     for shape in all_shapes(total):
@@ -117,16 +113,15 @@ class TestInversionVector:
 
 class TestHamiltonPath:
     def test_known_path(self):
-        assert hamilton_path(make_shape((2, 1, 3)), backend="python") == [
+        assert hamilton_path(make_shape((2, 1, 3))) == [
             (0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 1, 3), (0, 1, 2),
             (0, 1, 1), (0, 1, 0), (0, 2, 0), (0, 2, 1), (0, 2, 2), (0, 2, 3),
         ]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_walks_the_whole_box(self, backend):
+    def test_walks_the_whole_box(self):
         for total in range(1, 7):
             for shape in all_shapes(total):
-                path = hamilton_path(shape, backend)
+                path = hamilton_path(shape)
                 assert len(path) == stirling_count(shape)
                 assert len(set(path)) == len(path)
                 box = set(itertools.product(*(range(t + 1) for t in shape.prefix)))
@@ -194,7 +189,7 @@ class TestDotExport:
         assert re.search(r'w0 -> w1 \[label="r\d+[RL] w\d+ d\d+"\]', dot)
 
     def test_vector_path_chain(self):
-        path = hamilton_path(make_shape((2, 1, 3)), backend="python")
+        path = hamilton_path(make_shape((2, 1, 3)))
         dot = export_dot(path)
         nodes, edges = node_and_edge_counts(dot)
         assert nodes == 12 + 1
