@@ -2,6 +2,8 @@ import ast
 import inspect
 import textwrap
 
+import pytest
+
 from swordgen import stirling
 from swordgen.bumps import LEFT, RIGHT, classify_move
 from swordgen.greedy import verify_gray_code
@@ -43,16 +45,28 @@ class TestTrace:
         assert rows == [TraceRow((1, 1, 1), 1, None, None, None, (1,), (0,), (1,), (-1,))]
 
 
+# the visit order as each public entry point reports it; "python" is
+# stirling_sequence, the plain list of tuples
+VISIT_ORDERS = {
+    "python": stirling_sequence,
+    "run": lambda shape: list(loopless_run(shape).words),
+    "trace": lambda shape: [row.perm for row in trace(shape)],
+}
+
+
 class TestSequences:
-    def test_plain_changes(self):
-        got = stirling_sequence(make_shape((1, 1, 1)))
+    @pytest.mark.parametrize("route", VISIT_ORDERS)
+    def test_plain_changes(self, route):
+        got = VISIT_ORDERS[route](make_shape((1, 1, 1)))
         assert got == [
             (1, 2, 3), (1, 3, 2), (3, 1, 2), (3, 2, 1), (2, 3, 1), (2, 1, 3),
         ]
 
-    def test_tiny_shapes(self):
-        assert stirling_sequence(make_shape((3,))) == [(1, 1, 1)]
-        assert stirling_sequence(make_shape((1, 2))) == [
+    @pytest.mark.parametrize("route", VISIT_ORDERS)
+    def test_tiny_shapes(self, route):
+        order = VISIT_ORDERS[route]
+        assert order(make_shape((3,))) == [(1, 1, 1)]
+        assert order(make_shape((1, 2))) == [
             (1, 2, 2), (2, 2, 1),
         ]
 

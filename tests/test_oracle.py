@@ -92,6 +92,14 @@ class TestCounting:
             for shape in all_shapes(total):
                 assert count_avoiding(shape, STIRLING_PATTERNS) == stirling_count(shape)
 
+    def test_count_212_kernel_matches_formula(self):
+        # the brute-force {212} counter, reached with the pattern given as a
+        # string, as a tuple and as the normalised constant
+        for mult in [(2, 1, 3), (1, 1, 1, 1), (3, 3), (2, 2, 2)]:
+            shape = make_shape(mult)
+            for pats in ({"212"}, [(2, 1, 2)], STIRLING_PATTERNS):
+                assert count_avoiding(shape, pats) == stirling_count(shape)
+
     def test_count_212_from_strings_skips_the_language(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("count_avoiding built the language")

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from swordgen.oracle import all_shapes, k_catalan, language, stirling_count
-from swordgen.stirling import loopless_run
+from swordgen.stirling import loopless_run, trace
 from swordgen.trees import (
     KTree,
     STree,
@@ -20,6 +20,14 @@ from swordgen.trees import (
     word_from_inversion_vector,
 )
 from swordgen.words import WordError, make_shape
+
+# the inversion-vector path: "python" is hamilton_path, which recomputes
+# each vector from its word; "trace" reads the loop's live `inv` column
+PATHS = {
+    "python": hamilton_path,
+    "trace": lambda shape: [row.inv for row in trace(shape)],
+}
+
 
 def stirling_words(total):
     for shape in all_shapes(total):
@@ -118,10 +126,11 @@ class TestHamiltonPath:
             (0, 1, 1), (0, 1, 0), (0, 2, 0), (0, 2, 1), (0, 2, 2), (0, 2, 3),
         ]
 
-    def test_walks_the_whole_box(self):
+    @pytest.mark.parametrize("route", PATHS)
+    def test_walks_the_whole_box(self, route):
         for total in range(1, 7):
             for shape in all_shapes(total):
-                path = hamilton_path(shape)
+                path = PATHS[route](shape)
                 assert len(path) == stirling_count(shape)
                 assert len(set(path)) == len(path)
                 box = set(itertools.product(*(range(t + 1) for t in shape.prefix)))
