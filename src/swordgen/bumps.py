@@ -93,17 +93,17 @@ def apply_bump(word: Word, rank: int, direction: str, distance: int) -> tuple[Wo
         raise BumpError(f"distance must be >= 1, got {distance}")
     span = _run_at(word, rank, direction)
     v = span.value
-    n = len(word)
-    for step in range(1, distance + 1):
-        p = span.hi + step if direction == RIGHT else span.lo - step
-        if not 1 <= p <= n:
+    reach = _block_pass(word, span.lo, span.hi, v, direction)
+    if reach < distance:
+        # the first position the run cannot pass
+        p = span.hi + reach + 1 if direction == RIGHT else span.lo - reach - 1
+        if not 1 <= p <= len(word):
             raise BumpError(
                 f"bump of rank {rank} dir {direction} distance {distance} runs off the word"
             )
-        if word[p - 1] >= v:
-            raise BumpError(
-                f"digit {word[p - 1]} at position {p} is not smaller than {v}; bump blocked"
-            )
+        raise BumpError(
+            f"digit {word[p - 1]} at position {p} is not smaller than {v}; bump blocked"
+        )
     anchor = span.lo if direction == RIGHT else span.hi
     move = BumpMove(rank=rank, dir=direction, width=span.width, distance=distance, anchor=anchor)
     return _shift(word, span.lo, span.hi, direction, distance), move
@@ -138,8 +138,8 @@ def minimal_bump(
     The minimization is over language membership alone; callers wanting
     only unvisited results filter afterwards.
     """
-    limit = max_pass(word, rank, direction)
     span = _run_at(word, rank, direction)
+    limit = _block_pass(word, span.lo, span.hi, span.value, direction)
     anchor = span.lo if direction == RIGHT else span.hi
     for d in range(1, limit + 1):
         result = _shift(word, span.lo, span.hi, direction, d)

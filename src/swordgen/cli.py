@@ -47,29 +47,30 @@ def _print_json(payload: dict) -> None:
 # --- subcommands ------------------------------------------------------------
 
 
-def _cmd_generate(args) -> int:
+def _build_run(args) -> tuple[GrayCodeRun, str]:
+    """The run that `generate` prints and `verify` checks, and its engine:
+    loopless by default for {212}, greedy otherwise.  The loopless engine
+    refuses other pattern sets; only the greedy engine takes --start."""
     shape = parse_shape(args.shape)
     pats = _parse_avoid(args.avoid)
     engine = args.engine
     if engine is None:
         engine = "loopless" if pats == STIRLING else "greedy"
-    if engine == "loopless":
-        if args.avoid is None:
-            pats = STIRLING
-        if pats != STIRLING:
-            raise ValueError("the loopless engine only generates the 212-avoiding language")
+    if engine == "loopless" and args.avoid is not None and pats != STIRLING:
+        raise ValueError("the loopless engine only generates the 212-avoiding language")
     if args.start is not None and engine != "greedy":
         raise ValueError("only the greedy engine honors --start")
-
     if engine == "loopless":
-        run = stirling.loopless_run(shape)
-    elif engine == "greedy":
+        return stirling.loopless_run(shape), engine
+    if engine == "greedy":
         start = parse_word(args.start) if args.start is not None else None
-        run = greedy.generate_greedy(shape, pats, start=start, cap=args.cap)
-    else:
-        lang = oracle.language(shape, pats, args.cap)
-        run = GrayCodeRun(shape, pats, lang.words, (), True, greedy.EXHAUSTED)
+        return greedy.generate_greedy(shape, pats, start=start, cap=args.cap), engine
+    lang = oracle.language(shape, pats, args.cap)
+    return GrayCodeRun(shape, pats, lang.words, (), True, greedy.EXHAUSTED), engine
 
+
+def _cmd_generate(args) -> int:
+    run, engine = _build_run(args)
     if args.format == "json":
         _print_json(run_to_payload(run, engine))
     elif args.format == "dot":
@@ -84,23 +85,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    shape = parse_shape(args.shape)
-    pats = _parse_avoid(args.avoid)
-    engine = args.engine
-    if engine is None:
-        engine = "loopless" if pats == STIRLING else "greedy"
-    if engine == "loopless":
-        if args.avoid is None:
-            pats = STIRLING
-        if pats != STIRLING:
-            raise ValueError("the loopless engine only generates the 212-avoiding language")
-        run = stirling.loopless_run(shape)
-    elif engine == "greedy":
-        start = parse_word(args.start) if args.start is not None else None
-        run = greedy.generate_greedy(shape, pats, start=start, cap=args.cap)
-    else:
-        raise ValueError("verify needs the greedy or loopless engine")
-
+    run, _engine = _build_run(args)
     report = greedy.verify_gray_code(run, args.cap)
     print(f"words: {len(run.words)}")
     print(f"complete: {run.complete}")

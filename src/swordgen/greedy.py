@@ -199,11 +199,12 @@ def generate_greedy(
     if not avoids_all(word, pats):
         raise InvalidStartError("start word is outside the language")
 
-    if pats == oracle.STIRLING_PATTERNS:
+    member = oracle.member_test(pats)
+    if member is avoids_212:
         # test each candidate directly and take the size from the product
         # formula; the cap still bounds the shape as for enumeration
         oracle._check_cap(shape, cap)
-        member, size = avoids_212, oracle.stirling_count(shape)
+        size = oracle.stirling_count(shape)
     else:
         lang = oracle.language(shape, pats, cap)
         member, size = lang.word_set().__contains__, len(lang)
@@ -230,14 +231,14 @@ def verify_gray_code(run: GrayCodeRun, cap: int | None = None) -> GrayCodeReport
         all_member = None
     else:
         all_member = True
+        member = oracle.member_test(run.patterns)
         for k, w in enumerate(run.words):
             try:
                 validate_word(run.shape, w)
             except WordError:
                 all_member = False
             else:
-                if not avoids_all(w, run.patterns):
-                    all_member = False
+                all_member = member(w)
             if not all_member:
                 counterexamples["all_member"] = (k, w)
                 break
@@ -345,10 +346,11 @@ def children(
     elif word2:
         raise WordError(f"expected the empty word, got {word2}")
     m = shape.m
+    member = oracle.member_test(pats)
     out = set()
     for p in range(len(word2) + 1):
         cand = word2[:p] + (m,) + word2[p:]
-        if parent_word(cand) == word2 and avoids_all(cand, pats):
+        if parent_word(cand) == word2 and member(cand):
             out.add(cand)
     if not out:
         raise WordError(f"{word2} is not in the parent language")
@@ -382,11 +384,16 @@ def run_to_payload(run: GrayCodeRun, engine: str) -> dict:
 
 
 def run_from_payload(payload: dict) -> GrayCodeRun:
-    shape = Shape(tuple(payload["shape"]))
-    words = tuple(tuple(w) for w in payload["words"])
-    moves = tuple(BumpMove.from_json(mv) for mv in payload["moves"])
-    complete = bool(payload["complete"])
-    patterns = frozenset(tuple(p) for p in payload["patterns"])
+    """Rebuild a run from the form `run_to_payload` writes; a missing field
+    raises ValueError naming it."""
+    try:
+        shape = Shape(tuple(payload["shape"]))
+        words = tuple(tuple(w) for w in payload["words"])
+        moves = tuple(BumpMove.from_json(mv) for mv in payload["moves"])
+        complete = bool(payload["complete"])
+        patterns = frozenset(tuple(p) for p in payload["patterns"])
+    except KeyError as exc:
+        raise ValueError(f"run payload has no {exc.args[0]!r} field") from None
     return GrayCodeRun(
         shape,
         patterns,

@@ -13,6 +13,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .patterns import LanguageSpec, avoids_212, avoids_all, normalize_patterns
 from .words import Shape, Word, make_shape, nondecreasing_word
@@ -146,18 +147,27 @@ class Language:
         return self._word_set
 
 
+def member_test(patterns: frozenset[Word]) -> Callable[[Word], bool]:
+    """The avoidance test for a normalised pattern set: the linear
+    `avoids_212` for {212}, `avoids_all` otherwise.  The one place that
+    picks a test by pattern set.
+
+    >>> member_test(STIRLING_PATTERNS) is avoids_212
+    True
+    """
+    if patterns == STIRLING_PATTERNS:
+        return avoids_212
+    return lambda word: avoids_all(word, patterns)
+
+
 def language(
     shape: Shape,
     patterns=frozenset(),
     cap: int | None = None,
 ) -> Language:
     """The pattern-avoiding words of the shape, lexicographically sorted."""
-    spec = LanguageSpec(shape, frozenset(patterns) if not isinstance(patterns, frozenset) else patterns)
-    pats = spec.patterns
-    if pats == STIRLING_PATTERNS:
-        words = tuple(w for w in all_swords(shape, cap) if avoids_212(w))
-    else:
-        words = tuple(w for w in all_swords(shape, cap) if avoids_all(w, pats))
+    spec = LanguageSpec(shape, patterns)
+    words = tuple(filter(member_test(spec.patterns), all_swords(shape, cap)))
     return Language(spec, words)
 
 
@@ -171,9 +181,7 @@ def count_avoiding(
     if not pats:
         _check_cap(shape, cap)
         return multinomial(shape)
-    if pats == STIRLING_PATTERNS:
-        return sum(avoids_212(w) for w in all_swords(shape, cap))
-    return len(language(shape, pats, cap).words)
+    return sum(map(member_test(pats), all_swords(shape, cap)))
 
 
 def all_shapes(total: int) -> list[Shape]:

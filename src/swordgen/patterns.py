@@ -10,6 +10,7 @@ need strict ones).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable
 
 from .words import Shape, Word, parse_word, validate_word
@@ -29,12 +30,7 @@ def parse_pattern(text: str) -> Word:
         pat = parse_word(text)
     except ValueError as exc:
         raise PatternError(f"cannot parse pattern {text!r}") from exc
-    if not pat:
-        raise PatternError("empty pattern")
-    letters = set(pat)
-    if letters != set(range(1, max(letters) + 1)):
-        raise PatternError(f"pattern letters must be exactly 1..k, got {sorted(letters)}")
-    return pat
+    return check_pattern(pat)
 
 
 def check_pattern(pattern: Word) -> Word:
@@ -83,7 +79,7 @@ def membership(spec: LanguageSpec) -> Callable[[Word], bool]:
 
 def contains_pattern(word: Word, pattern: Word) -> bool:
     """True iff some subsequence of `word` matches `pattern` exactly up to
-    an order-preserving relabeling of its letters.
+    an order-preserving relabeling of its letters (which must be 1..k).
 
     >>> contains_pattern((2, 3, 1), (2, 3, 1))
     True
@@ -91,70 +87,21 @@ def contains_pattern(word: Word, pattern: Word) -> bool:
     True
     >>> contains_pattern((2, 2, 1, 2, 1, 1), (1, 2, 1, 2, 1))
     False
+    >>> contains_pattern((1, 2, 1, 3), (1, 1, 1))
+    False
     """
-    k = len(set(pattern))
-    if len(word) < len(pattern):
-        return False
-    if k == 1:
-        need = len(pattern)
-        best = 0
-        count: dict[int, int] = {}
-        for d in word:
-            count[d] = count.get(d, 0) + 1
-            best = max(best, count[d])
-        return best >= need
-    if k == 2:
-        return _contains_two_letter(word, pattern)
-    return _contains_general(word, pattern)
-
-
-def _contains_two_letter(word: Word, pattern: Word) -> bool:
-    # A two-letter pattern matches iff some value pair (a, b) with a < b
-    # admits a greedy left-to-right scan; trying every pair is O(m^2 n)
-    # and sidesteps the general search below.
-    values = sorted(set(word))
-    for ai in range(len(values)):
-        for bi in range(ai + 1, len(values)):
-            a, b = values[ai], values[bi]
-            k = 0
-            for d in word:
-                want = a if pattern[k] == 1 else b
-                if d == want:
-                    k += 1
-                    if k == len(pattern):
-                        return True
+    # Try each strictly increasing assignment of word values to the letters
+    # 1..k.  For one assignment the subsequence test is a greedy scan: every
+    # `in` resumes the shared iterator just past the previous match.
+    slots = [p - 1 for p in pattern]
+    for values in combinations(sorted(set(word)), max(pattern)):
+        rest = iter(word)
+        for i in slots:
+            if values[i] not in rest:
+                break
+        else:
+            return True
     return False
-
-
-def _contains_general(word: Word, pattern: Word) -> bool:
-    # Depth-first search over value assignments: pattern letter j -> word
-    # value assign[j], strictly increasing in j.  For each assignment the
-    # subsequence test is a greedy scan.
-    k = max(pattern)
-    values = sorted(set(word))
-    if len(values) < k:
-        return False
-    assign = [0] * k
-
-    def matches() -> bool:
-        j = 0
-        for d in word:
-            if d == assign[pattern[j] - 1]:
-                j += 1
-                if j == len(pattern):
-                    return True
-        return False
-
-    def choose(letter: int, start: int) -> bool:
-        if letter == k:
-            return matches()
-        for idx in range(start, len(values) - (k - letter - 1)):
-            assign[letter] = values[idx]
-            if choose(letter + 1, idx + 1):
-                return True
-        return False
-
-    return choose(0, 0)
 
 
 def avoids_all(word: Word, patterns) -> bool:

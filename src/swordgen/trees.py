@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Union
 from . import oracle
 from .greedy import GrayCodeRun
 from .patterns import avoids_212, avoids_all
-from .stirling import stirling_sequence
+from .stirling import _loopless
 from .words import Shape, Word, WordError, format_word, shape_of_word
 
 InvVector = tuple[int, ...]
@@ -170,8 +170,11 @@ def word_from_inversion_vector(shape: Shape, iv: Sequence[int]) -> Word:
 def hamilton_path(shape: Shape) -> list[InvVector]:
     """Inversion vectors along the generated order: every vector in the
     box Π[0..t_v] exactly once, consecutive ones differing by one step in
-    one coordinate."""
-    return [inversion_vector(w) for w in stirling_sequence(shape)]
+    one coordinate.  Read from the loop's live `inv`, which is the
+    inversion vector of the word at each visit."""
+    out: list[InvVector] = []
+    _loopless(shape, lambda perm, v, u, i, j, left, inv, fs, dirs: out.append(tuple(inv[1:])))
+    return out
 
 
 # --- k-ary trees ------------------------------------------------------------

@@ -140,6 +140,14 @@ class TestVerify:
         assert "ok: True" in lines
         assert "transpositions_only: True" in lines
 
+    def test_start_needs_greedy(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--shape", "2,1", "--avoid", "212", "--start", "999",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--start" in err
+
     def test_incomplete_is_a_negative_verdict(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--shape", "1,1,1", "--avoid", "312",

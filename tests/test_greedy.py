@@ -212,3 +212,16 @@ class TestPayload:
         assert back.moves == run.moves
         assert back.complete == run.complete
         assert back.patterns == run.patterns
+
+    @pytest.mark.parametrize("field", ["shape", "words", "moves", "complete", "patterns"])
+    def test_missing_field_is_named(self, field):
+        payload = run_to_payload(generate_greedy(make_shape((2, 1)), {"212"}), "greedy")
+        del payload[field]
+        with pytest.raises(ValueError, match=repr(field)):
+            run_from_payload(payload)
+
+    def test_missing_move_field_is_named(self):
+        payload = run_to_payload(generate_greedy(make_shape((2, 1)), {"212"}), "greedy")
+        del payload["moves"][0]["rank"]
+        with pytest.raises(ValueError, match="'rank'"):
+            run_from_payload(payload)

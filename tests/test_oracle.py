@@ -100,13 +100,18 @@ class TestCounting:
             for pats in ({"212"}, [(2, 1, 2)], STIRLING_PATTERNS):
                 assert count_avoiding(shape, pats) == stirling_count(shape)
 
-    def test_count_212_from_strings_skips_the_language(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "pats", [{"212"}, {"231"}, {"132", "121"}], ids=["212", "231", "132,121"]
+    )
+    def test_count_from_strings_skips_the_language(self, monkeypatch, pats):
+        shape = make_shape((2, 2, 2, 2, 1))
+        want = len(language(shape, pats))
+
         def refuse(*args, **kwargs):
             raise AssertionError("count_avoiding built the language")
 
         monkeypatch.setattr(oracle, "language", refuse)
-        shape = make_shape((2, 2, 2, 2, 1))
-        assert count_avoiding(shape, {"212"}) == stirling_count(shape)
+        assert count_avoiding(shape, pats) == want
 
 
 class TestCap:

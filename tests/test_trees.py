@@ -4,7 +4,7 @@ import re
 import pytest
 
 from swordgen.oracle import all_shapes, k_catalan, language, stirling_count
-from swordgen.stirling import loopless_run, trace
+from swordgen.stirling import loopless_run, stirling_sequence, trace
 from swordgen.trees import (
     KTree,
     STree,
@@ -21,8 +21,9 @@ from swordgen.trees import (
 )
 from swordgen.words import WordError, make_shape
 
-# the inversion-vector path: "python" is hamilton_path, which recomputes
-# each vector from its word; "trace" reads the loop's live `inv` column
+# the inversion-vector path: "python" is hamilton_path, which collects the
+# loop's live `inv` at each visit; "trace" reads the same column from the
+# per-visit trace rows
 PATHS = {
     "python": hamilton_path,
     "trace": lambda shape: [row.inv for row in trace(shape)],
@@ -125,6 +126,12 @@ class TestHamiltonPath:
             (0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 1, 3), (0, 1, 2),
             (0, 1, 1), (0, 1, 0), (0, 2, 0), (0, 2, 1), (0, 2, 2), (0, 2, 3),
         ]
+
+    def test_matches_the_vectors_of_the_words(self):
+        for total in range(1, 8):
+            for shape in all_shapes(total):
+                want = [inversion_vector(w) for w in stirling_sequence(shape)]
+                assert hamilton_path(shape) == want
 
     @pytest.mark.parametrize("route", PATHS)
     def test_walks_the_whole_box(self, route):
