@@ -194,42 +194,30 @@ def classify_move(word: Word, word2: Word) -> Optional[BumpMove]:
     hi = len(word) - 1
     while word[hi] == word2[hi]:
         hi -= 1
-    if word[lo] > word2[lo]:
-        # the larger run moved right: it heads the window in the source
-        v = word[lo]
-        width = 0
-        while lo + width <= hi and word[lo + width] == v:
-            width += 1
-        passed = word[lo + width : hi + 1]
-        if (
-            passed
-            and all(x < v for x in passed)
-            and word2[lo : hi + 1] == passed + (v,) * width
-        ):
-            anchor = lo + 1
-            shape = shape_of_word(word)
-            return BumpMove(
-                rank=rank_of(shape, word, anchor),
-                dir=RIGHT,
-                width=width,
-                distance=len(passed),
-                anchor=anchor,
-            )
+    # the moving run holds the window's larger end and leaves for the other
+    if word[lo] > word[hi]:
+        direction, anchor, step = RIGHT, lo, 1
+    elif word[lo] < word[hi]:
+        direction, anchor, step = LEFT, hi, -1
+    else:
         return None
-    # the larger run moved left: it tails the window in the source
-    v = word[hi]
-    width = 0
-    while hi - width >= lo and word[hi - width] == v:
-        width += 1
-    passed = word[lo : hi + 1 - width]
-    if passed and all(x < v for x in passed) and word2[lo : hi + 1] == (v,) * width + passed:
-        anchor = hi + 1
-        shape = shape_of_word(word)
-        return BumpMove(
-            rank=rank_of(shape, word, anchor),
-            dir=LEFT,
-            width=width,
-            distance=len(passed),
-            anchor=anchor,
-        )
-    return None
+    v = word[anchor]
+    end = anchor
+    while word[end + step] == v:
+        end += step
+    if direction == RIGHT:
+        run, passed = word[lo : end + 1], word[end + 1 : hi + 1]
+        moved = passed + run
+    else:
+        run, passed = word[end : hi + 1], word[lo:end]
+        moved = run + passed
+    if word2[lo : hi + 1] != moved or not all(x < v for x in passed):
+        return None
+    anchor += 1
+    return BumpMove(
+        rank=rank_of(shape_of_word(word), word, anchor),
+        dir=direction,
+        width=len(run),
+        distance=len(passed),
+        anchor=anchor,
+    )

@@ -14,6 +14,7 @@ JSON payloads carry "format": 1 and round-trip through the library.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -122,46 +123,35 @@ def _cmd_count(args) -> int:
     return 0
 
 
+def _trace_cell(name: str, value) -> str:
+    if value is None:
+        return "-"
+    if name == "perm":
+        return format_word(value)
+    if name == "dirs":
+        return "".join("+" if d > 0 else "-" for d in value)
+    if isinstance(value, tuple):
+        return _fmt_vec(value)
+    return str(value)
+
+
 def _cmd_trace(args) -> int:
     shape = parse_shape(args.shape)
     rows = stirling.trace(shape)
+    names = [f.name for f in dataclasses.fields(stirling.TraceRow)]
     if args.format == "json":
+        # tuples serialise as JSON arrays
         _print_json(
             {
                 "format": 1,
                 "shape": list(shape.multiplicities),
-                "rows": [
-                    {
-                        "perm": list(r.perm),
-                        "v": r.v,
-                        "u": r.u,
-                        "i": r.i,
-                        "j": r.j,
-                        "left": list(r.left),
-                        "inv": list(r.inv),
-                        "fs": list(r.fs),
-                        "dirs": list(r.dirs),
-                    }
-                    for r in rows
-                ],
+                "rows": [{name: getattr(r, name) for name in names} for r in rows],
             }
         )
         return 0
-    table = [["perm", "v", "u", "i", "j", "left", "inv", "fs", "dirs"]]
+    table = [names]
     for r in rows:
-        table.append(
-            [
-                format_word(r.perm),
-                str(r.v),
-                "-" if r.u is None else str(r.u),
-                "-" if r.i is None else str(r.i),
-                "-" if r.j is None else str(r.j),
-                _fmt_vec(r.left),
-                _fmt_vec(r.inv),
-                _fmt_vec(r.fs),
-                "".join("+" if d > 0 else "-" for d in r.dirs),
-            ]
-        )
+        table.append([_trace_cell(name, getattr(r, name)) for name in names])
     widths = [max(len(row[c]) for row in table) for c in range(len(table[0]))]
     for row in table:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swordgen.bumps import (
     LEFT,
@@ -42,6 +44,14 @@ def brute_max_pass(word, rank, direction):
     while i - count - 1 >= 0 and word[i - count - 1] < v:
         count += 1
     return count
+
+
+@st.composite
+def s_words(draw):
+    # any digit list relabelled onto 1..k is a word of some shape
+    raw = draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
+    label = {v: k for k, v in enumerate(sorted(set(raw)), start=1)}
+    return tuple(label[v] for v in raw)
 
 
 def bump_results(word):
@@ -205,6 +215,15 @@ class TestClassify:
         assert classify_move((1, 2), (1, 2)) is None
         with pytest.raises(BumpError):
             classify_move((1, 2), (2, 2))
+
+    @settings(deadline=None)
+    @given(s_words())
+    def test_recovers_every_feasible_bump(self, word):
+        for rank in range(1, len(word) + 1):
+            for direction in (RIGHT, LEFT):
+                for d in range(1, max_pass(word, rank, direction) + 1):
+                    result, move = apply_bump(word, rank, direction, d)
+                    assert classify_move(word, result) == move
 
     @pytest.mark.parametrize("mult", [(1, 1, 1), (2, 2), (2, 1, 2), (1, 1, 2)])
     def test_complete_against_brute_force(self, mult):

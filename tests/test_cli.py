@@ -84,6 +84,17 @@ class TestGenerate:
         assert code == 2
         assert "loopless" in err
 
+    def test_cap_leaves_exhaustive_open(self, capsys):
+        # the loopless run needs no enumeration; only the verdict waits on
+        # the cap
+        code, out, _ = run_cli(
+            capsys, "verify", "--shape", "2^6", "--avoid", "212", "--cap", "1000",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert "exhaustive: None" in lines
+        assert "ok: True" in lines
+
     def test_start_needs_greedy(self, capsys):
         code, _, err = run_cli(
             capsys, "generate", "--shape", "2,1,3", "--engine", "loopless",

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from swordgen import oracle
 from swordgen.bumps import classify_move
 from swordgen.greedy import (
     EXHAUSTED,
@@ -18,8 +19,9 @@ from swordgen.greedy import (
     run_to_payload,
     verify_gray_code,
 )
-from swordgen.oracle import SizeLimitError, all_shapes, language
+from swordgen.oracle import SizeLimitError, all_shapes, language, multinomial
 from swordgen.patterns import avoids_all, normalize_patterns
+from swordgen.stirling import loopless_run
 from swordgen.words import WordError, make_shape, nondecreasing_word
 
 def words_of(run):
@@ -114,6 +116,44 @@ class TestVerify:
         assert report.exhaustive is False
         assert not report.ok
         assert "exhaustive" in report.counterexamples
+
+    def test_212_verify_lists_no_words(self, monkeypatch):
+        # the product formula decides exhaustiveness; the language is never
+        # enumerated
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify enumerated the language")
+
+        monkeypatch.setattr(oracle, "all_swords", refuse)
+        monkeypatch.setattr(oracle, "language", refuse)
+        for mult in [(2, 1, 3), (2, 2, 2), (1, 1, 1, 1), (3, 1, 2)]:
+            run = loopless_run(make_shape(mult))
+            assert verify_gray_code(run).exhaustive is True
+        cut = GrayCodeRun(
+            run.shape, run.patterns, run.words[:-1], run.moves[:-1],
+            False, NO_NEW_BUMP,
+        )
+        report = verify_gray_code(cut)
+        assert report.exhaustive is False
+        assert not report.ok
+        assert report.counterexamples["exhaustive"] == {
+            "visited": len(run.words) - 1,
+            "language": len(run.words),
+        }
+
+    @pytest.mark.parametrize("patterns", [{"212"}, {"231"}], ids=["212", "231"])
+    def test_cap_below_the_multinomial_leaves_exhaustive_open(self, patterns):
+        shape = make_shape((2, 1, 2))
+        run = generate_greedy(shape, patterns)
+        assert verify_gray_code(run).exhaustive is True
+        cut = GrayCodeRun(
+            run.shape, run.patterns, run.words[:-1], run.moves[:-1],
+            False, NO_NEW_BUMP,
+        )
+        for checked in (run, cut):
+            report = verify_gray_code(checked, cap=multinomial(shape) - 1)
+            assert report.exhaustive is None
+            assert report.ok
+            assert "exhaustive" not in report.counterexamples
 
     def test_tampering_is_detected(self):
         run = generate_greedy(make_shape((2, 2)))
