@@ -15,15 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .words import (
-    RunSpan,
-    Word,
-    left_run,
-    rank_of,
-    rank_positions,
-    right_run,
-    shape_of_word,
-)
+from .words import Word
 
 RIGHT = "R"
 LEFT = "L"
@@ -63,14 +55,33 @@ class BumpMove:
         )
 
 
-def _run_at(word: Word, rank: int, direction: str) -> RunSpan:
-    shape = shape_of_word(word)
-    anchor = rank_positions(shape, word)[rank - 1]
+def _run_at(word: Word, rank: int, direction: str) -> tuple[int, int]:
+    """1-based bounds of the block that the rank-`rank` digit anchors: its
+    run from the anchor rightward for R, leftward for L."""
+    if direction != RIGHT and direction != LEFT:
+        raise BumpError(f"direction must be {RIGHT!r} or {LEFT!r}, got {direction!r}")
+    n = len(word)
+    if not 1 <= rank <= n:
+        raise BumpError(f"rank must be in 1..{n}, got {rank}")
+    ordered = sorted(word)
+    v = ordered[rank - 1]
+    # the anchor is the copy of v numbered rank - #{x < v} from the left
+    i = -1
+    for _ in range(rank - ordered.index(v)):
+        i = word.index(v, i + 1)
+    lo = hi = i + 1
     if direction == RIGHT:
-        return right_run(word, anchor)
-    if direction == LEFT:
-        return left_run(word, anchor)
-    raise BumpError(f"direction must be {RIGHT!r} or {LEFT!r}, got {direction!r}")
+        while hi < n and word[hi] == v:
+            hi += 1
+    else:
+        while lo > 1 and word[lo - 2] == v:
+            lo -= 1
+    return lo, hi
+
+
+def _move(rank: int, direction: str, lo: int, hi: int, distance: int) -> BumpMove:
+    anchor = lo if direction == RIGHT else hi
+    return BumpMove(rank, direction, hi - lo + 1, distance, anchor)
 
 
 def _shift(word: Word, lo: int, hi: int, direction: str, distance: int) -> Word:
@@ -91,12 +102,12 @@ def apply_bump(word: Word, rank: int, direction: str, distance: int) -> tuple[Wo
     """
     if distance < 1:
         raise BumpError(f"distance must be >= 1, got {distance}")
-    span = _run_at(word, rank, direction)
-    v = span.value
-    reach = _block_pass(word, span.lo, span.hi, v, direction)
+    lo, hi = _run_at(word, rank, direction)
+    v = word[hi - 1]
+    reach = _block_pass(word, lo, hi, v, direction)
     if reach < distance:
         # the first position the run cannot pass
-        p = span.hi + reach + 1 if direction == RIGHT else span.lo - reach - 1
+        p = hi + reach + 1 if direction == RIGHT else lo - reach - 1
         if not 1 <= p <= len(word):
             raise BumpError(
                 f"bump of rank {rank} dir {direction} distance {distance} runs off the word"
@@ -104,9 +115,7 @@ def apply_bump(word: Word, rank: int, direction: str, distance: int) -> tuple[Wo
         raise BumpError(
             f"digit {word[p - 1]} at position {p} is not smaller than {v}; bump blocked"
         )
-    anchor = span.lo if direction == RIGHT else span.hi
-    move = BumpMove(rank=rank, dir=direction, width=span.width, distance=distance, anchor=anchor)
-    return _shift(word, span.lo, span.hi, direction, distance), move
+    return _shift(word, lo, hi, direction, distance), _move(rank, direction, lo, hi, distance)
 
 
 def max_pass(word: Word, rank: int, direction: str) -> int:
@@ -116,8 +125,8 @@ def max_pass(word: Word, rank: int, direction: str) -> int:
     >>> max_pass((3, 3, 3, 1, 1, 2), 3, "L")
     2
     """
-    span = _run_at(word, rank, direction)
-    return _block_pass(word, span.lo, span.hi, span.value, direction)
+    lo, hi = _run_at(word, rank, direction)
+    return _block_pass(word, lo, hi, word[hi - 1], direction)
 
 
 def _block_pass(word: Word, lo: int, hi: int, v: int, direction: str) -> int:
@@ -130,6 +139,27 @@ def _block_pass(word: Word, lo: int, hi: int, v: int, direction: str) -> int:
         d += 1
 
 
+def _first_bump(
+    word: Word, lo: int, hi: int, direction: str, test: Callable[[Word], bool]
+) -> Optional[tuple[int, Word]]:
+    """Least distance d >= 1 at which the block lo..hi, moved past d
+    smaller digits, gives a word passing `test`, and that word; None once
+    the block is blocked."""
+    n = len(word)
+    v = word[hi - 1]
+    # 0-based index of the next digit to pass, which must be smaller
+    step = 1 if direction == RIGHT else -1
+    edge = hi if direction == RIGHT else lo - 2
+    d = 0
+    while 0 <= edge < n and word[edge] < v:
+        d += 1
+        edge += step
+        result = _shift(word, lo, hi, direction, d)
+        if test(result):
+            return d, result
+    return None
+
+
 def minimal_bump(
     word: Word, rank: int, direction: str, member: Callable[[Word], bool]
 ) -> Optional[tuple[int, Word, BumpMove]]:
@@ -138,15 +168,12 @@ def minimal_bump(
     The minimization is over language membership alone; callers wanting
     only unvisited results filter afterwards.
     """
-    span = _run_at(word, rank, direction)
-    limit = _block_pass(word, span.lo, span.hi, span.value, direction)
-    anchor = span.lo if direction == RIGHT else span.hi
-    for d in range(1, limit + 1):
-        result = _shift(word, span.lo, span.hi, direction, d)
-        if member(result):
-            move = BumpMove(rank=rank, dir=direction, width=span.width, distance=d, anchor=anchor)
-            return d, result, move
-    return None
+    lo, hi = _run_at(word, rank, direction)
+    found = _first_bump(word, lo, hi, direction, member)
+    if found is None:
+        return None
+    d, result = found
+    return d, result, _move(rank, direction, lo, hi, d)
 
 
 def apply_jump(word: Word, i: int, direction: str, distance: int) -> Word:
@@ -184,7 +211,8 @@ def classify_move(word: Word, word2: Word) -> Optional[BumpMove]:
     >>> classify_move((1, 1, 2, 3, 3, 3), (1, 1, 3, 3, 3, 2))
     BumpMove(rank=6, dir='L', width=3, distance=1, anchor=6)
     """
-    if len(word) != len(word2) or sorted(word) != sorted(word2):
+    ordered = sorted(word)
+    if len(word) != len(word2) or ordered != sorted(word2):
         raise BumpError("words do not share a shape")
     if word == word2:
         return None
@@ -214,10 +242,6 @@ def classify_move(word: Word, word2: Word) -> Optional[BumpMove]:
     if word2[lo : hi + 1] != moved or not all(x < v for x in passed):
         return None
     anchor += 1
-    return BumpMove(
-        rank=rank_of(shape_of_word(word), word, anchor),
-        dir=direction,
-        width=len(run),
-        distance=len(passed),
-        anchor=anchor,
-    )
+    # ranks order by value, then copies of a value from left to right
+    rank = ordered.index(v) + word[:anchor].count(v)
+    return BumpMove(rank, direction, len(run), len(passed), anchor)

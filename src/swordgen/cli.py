@@ -35,12 +35,6 @@ def _parse_avoid(text: str | None):
     return normalize_patterns(p for p in text.split(",") if p.strip())
 
 
-def _fmt_vec(vec) -> str:
-    if vec and max(vec) > 9:
-        return ",".join(str(x) for x in vec)
-    return "".join(str(x) for x in vec)
-
-
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload))
 
@@ -131,7 +125,7 @@ def _trace_cell(name: str, value) -> str:
     if name == "dirs":
         return "".join("+" if d > 0 else "-" for d in value)
     if isinstance(value, tuple):
-        return _fmt_vec(value)
+        return format_word(value)
     return str(value)
 
 
@@ -240,7 +234,7 @@ def _cmd_path(args) -> int:
 def _cmd_bench(args) -> int:
     shape = parse_shape(args.shape)
     expected = oracle.stirling_count(shape)
-    print(f"shape={_fmt_vec(shape.multiplicities)} formula={expected}")
+    print(f"shape={format_word(shape.multiplicities)} formula={expected}")
     begin = time.perf_counter()
     count = stirling.generate_loopless(shape)
     elapsed = time.perf_counter() - begin
@@ -308,6 +302,8 @@ def parse_and_dispatch(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.cap is not None and args.cap < 0:
+            parser.error(f"argument --cap: must be >= 0, got {args.cap}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -1,13 +1,13 @@
 """
 Greedy bump generation of pattern-avoiding word languages.
 
-At each step the engine considers, for every digit and direction, the
-minimal bump (least distance keeping the result in the language) whose
-result has not been visited, and applies the one whose moving block
-carries the largest rank, i.e. the rank of the block's leading digit;
-rightward beats leftward on ties, and the narrower block wins what
-remains.  Blocks are tried in that order and the first one with such a
-bump is applied.  It halts when no such bump exists.
+At each step the engine considers, for every movable block, its minimal
+bump (least distance keeping the result in the language), and among those
+that reach an unvisited word applies the one whose block carries the
+largest rank, i.e. the rank of the block's leading digit; rightward beats
+leftward on ties, and the narrower block wins what remains.  Blocks are
+tried in that order and the first whose minimal bump reaches an unvisited
+word is applied.  It halts when no such bump exists.
 Started from the nondecreasing word of a zig-zag language this yields a
 bump Gray code; on other languages the run may stop early, which is
 reported rather than raised.
@@ -20,11 +20,11 @@ the largest value from every word.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from . import oracle
 from .bumps import LEFT, RIGHT, BumpMove, classify_move
-from .bumps import _shift  # shared move primitive
+from .bumps import _first_bump, _move  # the minimal-bump search
 from .oracle import Language, SizeLimitError
 from .patterns import LanguageSpec, avoids_212, avoids_all, normalize_patterns
 from .words import (
@@ -47,13 +47,11 @@ class InvalidStartError(ValueError):
 class GrayCodeRun:
     """A visit sequence with the moves between consecutive words.
 
-    `patterns` is None when the run used an opaque membership predicate;
-    `complete` is True only when the visit count equals a known language
-    size.
+    `complete` is True only when the visit count equals the language size.
     """
 
     shape: Shape
-    patterns: Optional[frozenset[Word]]
+    patterns: frozenset[Word]
     words: tuple[Word, ...]
     moves: tuple[BumpMove, ...]
     complete: bool
@@ -64,7 +62,7 @@ class GrayCodeRun:
 class GrayCodeReport:
     """Outcome of checking a run; None flags were not decidable."""
 
-    all_member: Optional[bool]
+    all_member: bool
     all_distinct: bool
     exhaustive: Optional[bool]
     moves_valid: bool
@@ -76,7 +74,7 @@ class GrayCodeReport:
         # transpositions_only is informational: plenty of valid bump Gray
         # codes use wider distances
         return (
-            self.all_member is not False
+            self.all_member
             and self.all_distinct
             and self.exhaustive is not False
             and self.moves_valid
@@ -84,17 +82,14 @@ class GrayCodeReport:
 
 
 def _scan(
-    shape: Shape,
-    start: Word,
-    member: Callable[[Word], bool],
-    minimize_over_unvisited: bool,
+    shape: Shape, start: Word, member: Callable[[Word], bool]
 ) -> tuple[list[Word], list[BumpMove]]:
     words = [start]
     moves: list[BumpMove] = []
     visited = {start}
     w = start
     while True:
-        step = _next_bump(shape, w, member, visited, minimize_over_unvisited)
+        step = _next_bump(shape, w, member, visited)
         if step is None:
             return words, moves
         w, move = step
@@ -104,34 +99,16 @@ def _scan(
 
 
 def _next_bump(
-    shape: Shape,
-    w: Word,
-    member: Callable[[Word], bool],
-    visited: set,
-    minimize_over_unvisited: bool,
+    shape: Shape, w: Word, member: Callable[[Word], bool], visited: set
 ) -> Optional[tuple[Word, BumpMove]]:
-    """The greedy choice from `w`: the first block, in priority order, with
-    a minimal bump to an unvisited member; None when there is none."""
-    n = len(w)
+    """The greedy choice from `w`: the first block, in priority order, whose
+    minimal bump reaches an unvisited word; None when there is none.  Every
+    visited word is a member, so a visited minimal result ends the block."""
     for rank, direction, lo, hi in _bump_blocks(shape, w):
-        v = w[hi - 1]
-        # 0-based index of the next digit to pass, which must be smaller
-        stride = 1 if direction == RIGHT else -1
-        edge = hi if direction == RIGHT else lo - 2
-        for d in range(1, n):
-            if not 0 <= edge < n or w[edge] >= v:
-                break
-            edge += stride
-            cand = _shift(w, lo, hi, direction, d)
-            # visited words passed `member` already, so look them up first
-            if cand in visited:
-                if minimize_over_unvisited:
-                    continue
-                break
-            if not member(cand):
-                continue
-            anchor = lo if direction == RIGHT else hi
-            return cand, BumpMove(rank, direction, hi - lo + 1, d, anchor)
+        found = _first_bump(w, lo, hi, direction, member)
+        if found is not None and found[1] not in visited:
+            d, cand = found
+            return cand, _move(rank, direction, lo, hi, d)
     return None
 
 
@@ -174,27 +151,12 @@ def generate_greedy(
     patterns=frozenset(),
     *,
     start: Word | None = None,
-    member: Callable[[Word], bool] | None = None,
-    minimize_over_unvisited: bool = False,
     cap: int | None = None,
 ) -> GrayCodeRun:
-    """Run the greedy engine from `start` (default: nondecreasing word).
-
-    Membership is the pattern-avoidance language unless an opaque `member`
-    predicate is supplied, in which case the language size is unknown and
-    the run reports complete=False.  `minimize_over_unvisited` switches to
-    the alternative greedy rule that keeps widening the distance past
-    visited results instead of abandoning the anchor.
-    """
+    """Run the greedy engine from `start` (default: nondecreasing word)
+    over the language of words avoiding `patterns`."""
     word = start if start is not None else nondecreasing_word(shape)
     validate_word(shape, word)
-
-    if member is not None:
-        if not member(word):
-            raise InvalidStartError("start word fails the membership predicate")
-        words, moves = _scan(shape, word, member, minimize_over_unvisited)
-        return GrayCodeRun(shape, None, tuple(words), tuple(moves), False, NO_NEW_BUMP)
-
     pats = normalize_patterns(patterns)
     if not avoids_all(word, pats):
         raise InvalidStartError("start word is outside the language")
@@ -206,7 +168,7 @@ def generate_greedy(
     else:
         lang = oracle.language(shape, pats, cap)
         member, size = lang.word_set().__contains__, len(lang)
-    words, moves = _scan(shape, word, member, minimize_over_unvisited)
+    words, moves = _scan(shape, word, member)
     complete = len(words) == size
     return GrayCodeRun(
         shape,
@@ -234,22 +196,18 @@ def verify_gray_code(run: GrayCodeRun, cap: int | None = None) -> GrayCodeReport
     transition classifies as exactly the recorded bump."""
     counterexamples: dict = {}
 
-    all_member: Optional[bool]
-    if run.patterns is None:
-        all_member = None
-    else:
-        all_member = True
-        member = oracle.member_test(run.patterns)
-        for k, w in enumerate(run.words):
-            try:
-                validate_word(run.shape, w)
-            except WordError:
-                all_member = False
-            else:
-                all_member = member(w)
-            if not all_member:
-                counterexamples["all_member"] = (k, w)
-                break
+    all_member = True
+    member = oracle.member_test(run.patterns)
+    for k, w in enumerate(run.words):
+        try:
+            validate_word(run.shape, w)
+        except WordError:
+            all_member = False
+        else:
+            all_member = member(w)
+        if not all_member:
+            counterexamples["all_member"] = (k, w)
+            break
 
     all_distinct = True
     seen: dict[Word, int] = {}
@@ -261,20 +219,17 @@ def verify_gray_code(run: GrayCodeRun, cap: int | None = None) -> GrayCodeReport
         seen[w] = k
 
     exhaustive: Optional[bool]
-    if run.patterns is None:
+    try:
+        size = _language_size(run.shape, run.patterns, cap)
+    except SizeLimitError:
         exhaustive = None
     else:
-        try:
-            size = _language_size(run.shape, run.patterns, cap)
-        except SizeLimitError:
-            exhaustive = None
-        else:
-            # members cover the language once as many distinct ones as its
-            # size were visited
-            visited = len(set(run.words))
-            exhaustive = all_member and visited == size
-            if not exhaustive:
-                counterexamples["exhaustive"] = {"visited": visited, "language": size}
+        # members cover the language once as many distinct ones as its size
+        # were visited
+        visited = len(set(run.words))
+        exhaustive = all_member and visited == size
+        if not exhaustive:
+            counterexamples["exhaustive"] = {"visited": visited, "language": size}
 
     moves_valid = len(run.moves) == len(run.words) - 1
     if not moves_valid:
@@ -381,7 +336,7 @@ def run_to_payload(run: GrayCodeRun, engine: str) -> dict:
     return {
         "format": 1,
         "shape": list(run.shape.multiplicities),
-        "patterns": sorted(list(p) for p in (run.patterns or frozenset())),
+        "patterns": sorted(list(p) for p in run.patterns),
         "engine": engine,
         "words": [list(w) for w in run.words],
         "moves": [mv.to_json() for mv in run.moves],

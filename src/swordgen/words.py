@@ -54,19 +54,6 @@ class Shape:
         return len(self.multiplicities)
 
 
-@dataclass(frozen=True)
-class RunSpan:
-    """A block of equal adjacent digits, 1-based inclusive bounds."""
-
-    lo: int
-    hi: int
-    value: int
-
-    @property
-    def width(self) -> int:
-        return self.hi - self.lo + 1
-
-
 def make_shape(multiplicities) -> Shape:
     """Build a Shape from a sequence of positive multiplicities.
 
@@ -165,36 +152,6 @@ def index_of_rank(shape: Shape, word: Word, r: int) -> int:
     if not 1 <= r <= len(word):
         raise WordError(f"rank {r} out of range 1..{len(word)}")
     return rank_positions(shape, word)[r - 1]
-
-
-def right_run(word: Word, i: int) -> RunSpan:
-    """Maximal block of equal digits extending rightward from index i.
-
-    >>> right_run((1, 1, 2, 1, 1, 3, 3, 3, 1, 1), 7)
-    RunSpan(lo=7, hi=8, value=3)
-    """
-    if not 1 <= i <= len(word):
-        raise WordError(f"index {i} out of range 1..{len(word)}")
-    v = word[i - 1]
-    j = i
-    while j < len(word) and word[j] == v:
-        j += 1
-    return RunSpan(i, j, v)
-
-
-def left_run(word: Word, i: int) -> RunSpan:
-    """Maximal block of equal digits extending leftward from index i.
-
-    >>> left_run((1, 1, 2, 1, 1, 3, 3, 3, 1, 1), 7)
-    RunSpan(lo=6, hi=7, value=3)
-    """
-    if not 1 <= i <= len(word):
-        raise WordError(f"index {i} out of range 1..{len(word)}")
-    v = word[i - 1]
-    h = i
-    while h > 1 and word[h - 2] == v:
-        h -= 1
-    return RunSpan(h, i, v)
 
 
 def parse_word(text: str) -> Word:

@@ -123,6 +123,29 @@ class TestApplyBump:
             assert back == word
 
 
+class TestRankAndDirection:
+    @pytest.mark.parametrize("rank", [0, 7, -1])
+    def test_rank_outside_the_word(self, rank):
+        # ranks run 1..n; 0 and -1 must not wrap round to the largest ranks
+        word = (1, 1, 2, 3, 3, 3)
+        for direction in (RIGHT, LEFT):
+            with pytest.raises(BumpError, match="rank"):
+                apply_bump(word, rank, direction, 1)
+            with pytest.raises(BumpError, match="rank"):
+                max_pass(word, rank, direction)
+            with pytest.raises(BumpError, match="rank"):
+                minimal_bump(word, rank, direction, lambda w: True)
+
+    def test_unknown_direction(self):
+        word = (1, 1, 2, 3, 3, 3)
+        with pytest.raises(BumpError, match="direction"):
+            apply_bump(word, 3, "X", 1)
+        with pytest.raises(BumpError, match="direction"):
+            max_pass(word, 3, "X")
+        with pytest.raises(BumpError, match="direction"):
+            minimal_bump(word, 3, "X", lambda w: True)
+
+
 class TestMaxPass:
     @pytest.mark.parametrize("mult", [(1, 1, 1), (2, 2), (2, 1, 2), (3, 1)])
     def test_against_brute_force(self, mult):

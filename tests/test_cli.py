@@ -141,6 +141,13 @@ class TestBadInput:
         code, _, _ = run_cli(capsys, "generate", "--shape", "2,2", "--nope")
         assert code == 2
 
+    def test_negative_cap_is_malformed(self, capsys):
+        # a negative cap is bad input (exit 2), not a cap exceeded (exit 3)
+        code, out, err = run_cli(capsys, "count", "--shape", "2,2", "--cap", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--cap" in err and "-1" in err
+
 
 class TestVerify:
     def test_clean_report(self, capsys):

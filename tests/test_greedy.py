@@ -1,9 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swordgen import oracle
-from swordgen.bumps import classify_move
+from swordgen import bumps, oracle, words
+from swordgen.bumps import LEFT, apply_bump, classify_move
 from swordgen.greedy import (
     EXHAUSTED,
     NO_NEW_BUMP,
@@ -26,6 +28,12 @@ from swordgen.words import WordError, make_shape, nondecreasing_word
 
 def words_of(run):
     return ["".join(map(str, w)) for w in run.words]
+
+
+SMALL_SHAPES = [shape for n in range(1, 8) for shape in all_shapes(n)]
+PATTERN_SETS = [
+    (), ("231",), ("12121",), ("132", "121"), ("132", "231", "121"), ("212",), ("312",),
+]
 
 
 class TestKnownSequences:
@@ -58,23 +66,6 @@ class TestKnownSequences:
 
 
 class TestEngineOptions:
-    def test_alternative_rule_keeps_widening(self):
-        # on this non-zig-zag language the rules genuinely differ
-        shape = make_shape((2, 1, 2, 1))
-        pats = {"312"}
-        strict = generate_greedy(shape, pats)
-        widened = generate_greedy(shape, pats, minimize_over_unvisited=True)
-        assert len(strict.words) == 18
-        assert len(widened.words) == 19
-        assert not strict.complete and not widened.complete
-
-    def test_opaque_member_mode(self):
-        lang = set(language(make_shape((2, 2)), {"212"}).words)
-        run = generate_greedy(make_shape((2, 2)), member=lang.__contains__)
-        assert set(run.words) == lang
-        assert run.patterns is None
-        assert not run.complete  # size unknown through a predicate
-
     def test_212_runs_cover_the_oracle_language(self):
         # the {212} engine tests candidates directly and sizes the language
         # by the product formula; the brute-force oracle must agree
@@ -140,6 +131,18 @@ class TestVerify:
             "language": len(run.words),
         }
 
+    def test_bumps_build_no_shape_per_word(self, monkeypatch):
+        # ranks are read off the word itself, never through a rebuilt Shape
+        def refuse(word):
+            raise AssertionError("a Shape was rebuilt from a word")
+
+        monkeypatch.setattr(words, "shape_of_word", refuse)
+        monkeypatch.setattr(bumps, "shape_of_word", refuse, raising=False)
+        shape = make_shape((2, 1, 3))
+        for run in (generate_greedy(shape, {"231"}), loopless_run(shape)):
+            assert verify_gray_code(run).ok
+        assert apply_bump((1, 1, 2, 3, 3, 3), 6, LEFT, 1)[0] == (1, 1, 3, 3, 3, 2)
+
     @pytest.mark.parametrize("patterns", [{"212"}, {"231"}], ids=["212", "231"])
     def test_cap_below_the_multinomial_leaves_exhaustive_open(self, patterns):
         shape = make_shape((2, 1, 2))
@@ -179,15 +182,42 @@ class TestVerify:
 
     def test_wide_moves_flagged_but_not_fatal(self):
         # 123 -> 312 is a legal distance-2 bump but changes 3 positions:
-        # transpositions_only goes false without sinking the verdict
+        # transpositions_only goes false without sinking the verdict.  The
+        # language of 1,1,1 avoiding these four is exactly {123, 312}.
+        pats = normalize_patterns({"132", "213", "231", "321"})
         run = GrayCodeRun(
-            make_shape((1, 1, 1)), None, ((1, 2, 3), (3, 1, 2)),
+            make_shape((1, 1, 1)), pats, ((1, 2, 3), (3, 1, 2)),
             (classify_move((1, 2, 3), (3, 1, 2)),), False, NO_NEW_BUMP,
         )
         report = verify_gray_code(run)
         assert report.ok
         assert report.moves_valid
         assert not report.transpositions_only
+
+
+class TestMoveReplay:
+    @settings(deadline=None)
+    @given(st.sampled_from(SMALL_SHAPES), st.sampled_from(PATTERN_SETS))
+    def test_greedy_moves_are_minimal_bumps(self, shape, patterns):
+        # every recorded move replays through apply_bump, and each smaller
+        # distance of the same block leaves the language
+        run = generate_greedy(shape, patterns)
+        member = language(shape, patterns).word_set().__contains__
+        for k, mv in enumerate(run.moves):
+            w = run.words[k]
+            assert apply_bump(w, mv.rank, mv.dir, mv.distance) == (run.words[k + 1], mv)
+            for d in range(1, mv.distance):
+                assert not member(apply_bump(w, mv.rank, mv.dir, d)[0])
+
+    @settings(deadline=None)
+    @given(st.sampled_from(SMALL_SHAPES))
+    def test_loopless_moves_replay(self, shape):
+        run = loopless_run(shape)
+        for k, mv in enumerate(run.moves):
+            assert apply_bump(run.words[k], mv.rank, mv.dir, mv.distance) == (
+                run.words[k + 1],
+                mv,
+            )
 
 
 class TestParentMachinery:

@@ -9,7 +9,6 @@ from swordgen.words import (
     format_shape,
     format_word,
     index_of_rank,
-    left_run,
     make_shape,
     nondecreasing_word,
     parse_shape,
@@ -17,7 +16,6 @@ from swordgen.words import (
     rank_of,
     rank_positions,
     ranks,
-    right_run,
     shape_of_word,
     validate_word,
 )
@@ -73,26 +71,6 @@ class TestRanks:
         shape = make_shape((2, 2, 2))
         for word in all_words((2, 2, 2)):
             assert sorted(ranks(shape, word)) == list(range(1, 7))
-
-
-class TestRuns:
-    def test_directional_runs(self):
-        word = (1, 1, 2, 1, 1, 3, 3, 3, 1, 1)
-        assert (right_run(word, 7).lo, right_run(word, 7).hi) == (7, 8)
-        assert (left_run(word, 7).lo, left_run(word, 7).hi) == (6, 7)
-        assert right_run(word, 1).hi == 2
-        assert left_run(word, 10).lo == 9
-
-    def test_run_against_scan(self):
-        for word in all_words((2, 2, 1)):
-            for i in range(1, 6):
-                r = right_run(word, i)
-                assert all(word[k - 1] == word[i - 1] for k in range(r.lo, r.hi + 1))
-                assert r.lo == i
-                assert r.hi == 5 or word[r.hi] != word[i - 1]
-                l = left_run(word, i)
-                assert l.hi == i
-                assert l.lo == 1 or word[l.lo - 2] != word[i - 1]
 
 
 class TestParsing:
