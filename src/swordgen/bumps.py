@@ -55,14 +55,20 @@ class BumpMove:
         )
 
 
+def _check_place(word: Word, where: str, at: int, direction: str) -> None:
+    """Raise BumpError unless `at` (a rank or an index) is in 1..n and the
+    direction is R or L."""
+    if direction != RIGHT and direction != LEFT:
+        raise BumpError(f"direction must be {RIGHT!r} or {LEFT!r}, got {direction!r}")
+    if not 1 <= at <= len(word):
+        raise BumpError(f"{where} must be in 1..{len(word)}, got {at}")
+
+
 def _run_at(word: Word, rank: int, direction: str) -> tuple[int, int]:
     """1-based bounds of the block that the rank-`rank` digit anchors: its
     run from the anchor rightward for R, leftward for L."""
-    if direction != RIGHT and direction != LEFT:
-        raise BumpError(f"direction must be {RIGHT!r} or {LEFT!r}, got {direction!r}")
+    _check_place(word, "rank", rank, direction)
     n = len(word)
-    if not 1 <= rank <= n:
-        raise BumpError(f"rank must be in 1..{n}, got {rank}")
     ordered = sorted(word)
     v = ordered[rank - 1]
     # the anchor is the copy of v numbered rank - #{x < v} from the left
@@ -184,6 +190,7 @@ def apply_jump(word: Word, i: int, direction: str, distance: int) -> Word:
     """
     if distance < 1:
         raise BumpError(f"distance must be >= 1, got {distance}")
+    _check_place(word, "index", i, direction)
     v = word[i - 1]
     if _block_pass(word, i, i, v, direction) < distance:
         raise BumpError(f"jump of {distance} from index {i} dir {direction} is blocked")
@@ -197,6 +204,7 @@ def maximum_jump(word: Word, i: int, direction: str) -> Optional[Word]:
     >>> maximum_jump((1, 2, 3), 3, "L")
     (3, 1, 2)
     """
+    _check_place(word, "index", i, direction)
     v = word[i - 1]
     d = _block_pass(word, i, i, v, direction)
     if d == 0:

@@ -184,7 +184,7 @@ def _language_size(shape: Shape, patterns: frozenset[Word], cap: int | None) -> 
     """|L| for a normalised pattern set: the product formula for {212}, the
     oracle's count otherwise.  Either way a shape whose multinomial exceeds
     the cap raises SizeLimitError."""
-    oracle._check_cap(shape, cap)
+    oracle._check_cap(shape, oracle.multinomial(shape), cap)
     if patterns == oracle.STIRLING_PATTERNS:
         return oracle.stirling_count(shape)
     return oracle.count_avoiding(shape, patterns, cap)

@@ -91,9 +91,9 @@ def count_kary_trees(k: int, m: int) -> int:
     return spread(k, m - 1)
 
 
-def _check_cap(shape: Shape, cap: int | None) -> int:
+def _check_cap(shape: Shape, size: int, cap: int | None) -> int:
+    """Raise SizeLimitError when `size` words of the shape exceed the cap."""
     limit = resolve_cap(cap)
-    size = multinomial(shape)
     if size > limit:
         raise SizeLimitError(
             f"shape {shape.multiplicities} has {size} words, over the cap of {limit}"
@@ -119,7 +119,7 @@ def _next_multiset_perm(a: list[int]) -> bool:
 
 def all_swords(shape: Shape, cap: int | None = None) -> list[Word]:
     """All words of the shape in lexicographic order."""
-    _check_cap(shape, cap)
+    _check_cap(shape, multinomial(shape), cap)
     a = list(nondecreasing_word(shape))
     out = [tuple(a)]
     while _next_multiset_perm(a):
@@ -179,8 +179,7 @@ def count_avoiding(
     """Language size by enumeration (the oracle side of count checks)."""
     pats = normalize_patterns(patterns)
     if not pats:
-        _check_cap(shape, cap)
-        return multinomial(shape)
+        return _check_cap(shape, multinomial(shape), cap)
     return sum(map(member_test(pats), all_swords(shape, cap)))
 
 

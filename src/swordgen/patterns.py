@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable
 
-from .words import Shape, Word, parse_word, validate_word
+from .words import Shape, Word, parse_word
 
 
 class PatternError(ValueError):
@@ -60,21 +59,6 @@ class LanguageSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "patterns", normalize_patterns(self.patterns))
-
-
-def membership(spec: LanguageSpec) -> Callable[[Word], bool]:
-    """Pure predicate: word has the spec's shape and avoids its patterns."""
-    shape = spec.shape
-    pats = spec.patterns
-
-    def member(word: Word) -> bool:
-        try:
-            validate_word(shape, word)
-        except ValueError:
-            return False
-        return avoids_all(word, pats)
-
-    return member
 
 
 def contains_pattern(word: Word, pattern: Word) -> bool:

@@ -100,12 +100,20 @@ def generate_loopless(
     return _loopless(shape, lambda perm, *_: visit(perm))
 
 
+def _check_output(shape: Shape) -> None:
+    """Raise SizeLimitError before materialising more words than the
+    default cap.  The default and not a caller's cap: `verify --cap`
+    bounds only the oracle, and still checks the whole loopless run."""
+    oracle._check_cap(shape, oracle.stirling_count(shape), None)
+
+
 def stirling_sequence(shape: Shape) -> list[Word]:
     """The full visit order as tuples.
 
     >>> stirling_sequence(make_shape((1, 2)))
     [(1, 2, 2), (2, 2, 1)]
     """
+    _check_output(shape)
     out: list[Word] = []
     generate_loopless(shape, lambda perm: out.append(tuple(perm)))
     return out
@@ -122,6 +130,7 @@ def _move_from_state(s, t, v: int, d: int, i: int) -> BumpMove:
 def loopless_run(shape: Shape) -> GrayCodeRun:
     """Collect the sequence as a GrayCodeRun, deriving each move in O(1)
     from the live state instead of re-classifying word pairs."""
+    _check_output(shape)
     s = (0,) + shape.multiplicities
     t = (0,) + shape.prefix
     words: list[Word] = []
@@ -160,6 +169,7 @@ class TraceRow:
 
 def trace(shape: Shape) -> list[TraceRow]:
     """Per-visit snapshots of (perm, v, u, i, j, left, inv, fs, dirs)."""
+    _check_output(shape)
     rows: list[TraceRow] = []
 
     def grab(perm, v, u, i, j, left, inv, fs, dirs):

@@ -4,10 +4,10 @@ Tree objects and inversion vectors in bijection with Gray-coded words.
 Words avoiding 212 correspond to increasing trees: the minimum value v of
 a word occurs s_v times and cuts it into s_v + 1 segments, each wholly
 containing every other value, so v becomes a node with one ordered child
-slot per segment.  Words over the shape (k-1)^m avoiding {132, 121}
-correspond to k-ary trees by the mirror construction at the maximum
-value, whose k-1 copies cut the word into k segments carrying strictly
-descending value intervals; the labels are forced by subtree sizes, so
+slot per segment.  One left-to-right stack pass builds the whole tree.
+Words over the shape (k-1)^m avoiding {132, 121} correspond to k-ary
+trees: the complement (m+1) - w avoids {312, 212}, and its increasing
+tree is the k-ary tree labeled in preorder.  The labels are forced, so
 only the unlabeled tree is kept.
 
 Words avoiding 212 also map to inversion vectors (per value, the number
@@ -19,13 +19,14 @@ step.  DOT export renders runs, vector paths and tree families.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional, Sequence, Union
 
 from . import oracle
 from .greedy import GrayCodeRun
 from .patterns import avoids_212, avoids_all
-from .stirling import _loopless
-from .words import Shape, Word, WordError, format_word, shape_of_word
+from .stirling import _check_output, _loopless
+from .words import Shape, Word, WordError, check_word, format_word, shape_of_word
 
 InvVector = tuple[int, ...]
 
@@ -56,46 +57,49 @@ class KTree:
         slots = ",".join("ε" if c is None else str(c) for c in self.children)
         return f"*({slots})"
 
-    @property
-    def size(self) -> int:
-        return 1 + sum(c.size for c in self.children if c is not None)
-
 
 # --- increasing trees -------------------------------------------------------
 
 
-def _split_at_value(word: Word, v: int) -> list[Word]:
-    segments: list[Word] = []
-    seg: list[int] = []
-    for d in word:
-        if d == v:
-            segments.append(tuple(seg))
-            seg = []
+def _increasing_tree(word: Word) -> STree:
+    """The increasing tree of a word over 1..m, in the one stack pass of
+    `avoids_212`: open nodes sit on a stack whose labels increase upwards
+    from a 0 sentinel, and a digit closes every open node above it.  The
+    subtree closed last fills the slot that the digit ends, or the first
+    slot of the node that the digit opens.  A trailing 0 closes them all.
+    Raises WordError on a 212.
+    """
+    labels = [0]
+    slots: list[list[Optional[STree]]] = [[]]
+    seen = set()
+    tree = None
+    for d in (*word, 0):
+        while labels[-1] > d:
+            children = slots.pop()
+            children.append(tree)
+            tree = STree(labels.pop(), tuple(children))
+        if labels[-1] == d:
+            slots[-1].append(tree)
+        elif d in seen:
+            # d was closed by a smaller digit since its last copy
+            raise WordError(f"{format_word(word)} contains 212")
         else:
-            seg.append(d)
-    segments.append(tuple(seg))
-    return segments
+            seen.add(d)
+            labels.append(d)
+            slots.append([tree])
+        tree = None
+    return slots[0][0]
 
 
 def stirling_word_to_tree(word: Word) -> STree:
-    """Decompose a 212-avoiding word at its minimum value, recursively.
+    """The increasing tree of a 212-avoiding word: the minimum value is
+    the root, and its copies cut the word into the root's child slots.
 
     >>> str(stirling_word_to_tree((1, 2, 2)))
     '1(ε,2(ε,ε,ε))'
     """
-    if not word:
-        raise WordError("empty word has no tree")
-    if not avoids_212(word):
-        raise WordError(f"{format_word(word)} contains 212")
-
-    def build(w: Word) -> STree:
-        v = min(w)
-        return STree(
-            label=v,
-            children=tuple(build(seg) if seg else None for seg in _split_at_value(w, v)),
-        )
-
-    return build(word)
+    check_word(word)
+    return _increasing_tree(word)
 
 
 def tree_to_stirling_word(tree: STree) -> Word:
@@ -105,10 +109,10 @@ def tree_to_stirling_word(tree: STree) -> Word:
     increasing away from the root.
     """
     labels: list[int] = []
+    out: list[int] = []
 
-    def read(node: STree) -> tuple[int, ...]:
+    def read(node: STree) -> None:
         labels.append(node.label)
-        out: list[int] = []
         for k, child in enumerate(node.children):
             if k:
                 out.append(node.label)
@@ -117,13 +121,12 @@ def tree_to_stirling_word(tree: STree) -> Word:
                     raise TreeError(
                         f"child label {child.label} not above parent {node.label}"
                     )
-                out.extend(read(child))
-        return tuple(out)
+                read(child)
 
-    word = read(tree)
+    read(tree)
     if sorted(labels) != list(range(1, len(labels) + 1)):
         raise TreeError(f"labels {sorted(labels)} are not 1..{len(labels)}")
-    return word
+    return tuple(out)
 
 
 # --- inversion vectors ------------------------------------------------------
@@ -138,13 +141,17 @@ def inversion_vector(word: Word) -> InvVector:
     >>> inversion_vector((3, 3, 3, 2, 1, 1))
     (0, 2, 3)
     """
+    check_word(word)
     if not avoids_212(word):
         raise WordError(f"{format_word(word)} contains 212")
-    shape = shape_of_word(word)
-    out = []
-    for v in range(1, shape.m + 1):
-        last = len(word) - 1 - word[::-1].index(v)
-        out.append(sum(1 for d in word[last + 1 :] if d < v))
+    # read right to left, a value is first met at its last copy
+    m = max(word)
+    counts = [0] * (m + 1)
+    out: list[Optional[int]] = [None] * m
+    for d in reversed(word):
+        if out[d - 1] is None:
+            out[d - 1] = sum(counts[:d])
+        counts[d] += 1
     return tuple(out)
 
 
@@ -172,6 +179,7 @@ def hamilton_path(shape: Shape) -> list[InvVector]:
     box Π[0..t_v] exactly once, consecutive ones differing by one step in
     one coordinate.  Read from the loop's live `inv`, which is the
     inversion vector of the word at each visit."""
+    _check_output(shape)
     out: list[InvVector] = []
     _loopless(shape, lambda perm, v, u, i, j, left, inv, fs, dirs: out.append(tuple(inv[1:])))
     return out
@@ -181,17 +189,14 @@ def hamilton_path(shape: Shape) -> list[InvVector]:
 
 
 def kcatalan_word_to_tree(word: Word, k: int) -> KTree:
-    """Decompose at the maximum value, whose k-1 copies delimit the k
-    subtrees; segment values must be wholly contained and strictly
-    descending between segments.
+    """The increasing tree of the complement (m+1) - w, without labels:
+    the k-1 copies of the maximum value delimit the k subtrees.
 
     >>> str(kcatalan_word_to_tree((2, 1, 1, 2), 3))
     '*(ε,*(ε,ε,ε),ε)'
     """
     if k < 2:
         raise TreeError(f"arity must be at least 2, got {k}")
-    if not word:
-        raise WordError("empty word has no tree")
     shape = shape_of_word(word)
     if any(s != k - 1 for s in shape.multiplicities):
         raise WordError(
@@ -200,41 +205,28 @@ def kcatalan_word_to_tree(word: Word, k: int) -> KTree:
     if not avoids_all(word, oracle.KCATALAN_PATTERNS):
         raise WordError(f"{format_word(word)} contains 132 or 121")
 
-    def build(w: Word) -> Optional[KTree]:
-        if not w:
-            return None
-        top = max(w)
-        segments = _split_at_value(w, top)
-        if len(segments) != k:
-            raise WordError(f"value {top} does not occur {k - 1} times")
-        return KTree(children=tuple(build(seg) for seg in segments))
+    def unlabel(node: STree) -> KTree:
+        return KTree(tuple(None if c is None else unlabel(c) for c in node.children))
 
-    return build(word)
+    # the builder, not stirling_word_to_tree: perfbench traces both public
+    # decoders, and a k-ary tree must count as one tree built
+    return unlabel(_increasing_tree(tuple(shape.m + 1 - d for d in word)))
 
 
 def ktree_to_word(tree: KTree, k: int) -> Word:
-    """Label the internal nodes with descending intervals, earliest
-    subtree highest, and read the word back."""
+    """Label the internal nodes 1, 2, ... in preorder, read the increasing
+    tree's word and complement it."""
+    m = 0
 
-    def read(node: KTree, hi: int) -> tuple[int, ...]:
+    def label(node: KTree) -> STree:
+        nonlocal m
         if len(node.children) != k:
             raise TreeError(f"node has {len(node.children)} slots, expected {k}")
-        parts: list[tuple[int, ...]] = []
-        nxt = hi - 1
-        for child in node.children:
-            if child is None:
-                parts.append(())
-            else:
-                parts.append(read(child, nxt))
-                nxt -= child.size
-        out: list[int] = []
-        for idx, part in enumerate(parts):
-            if idx:
-                out.append(hi)
-            out.extend(part)
-        return tuple(out)
+        m += 1
+        return STree(m, tuple(None if c is None else label(c) for c in node.children))
 
-    return read(tree, tree.size)
+    word = tree_to_stirling_word(label(tree))
+    return tuple(m + 1 - d for d in word)
 
 
 def all_kary_trees(k: int, m: int) -> list[KTree]:
@@ -244,26 +236,16 @@ def all_kary_trees(k: int, m: int) -> list[KTree]:
         if size == 0:
             return [None]
         out: list[Optional[KTree]] = []
-        for split in _compositions(size - 1, k):
-            pools = [gen(part) for part in split]
-            stack: list[tuple[Optional[KTree], ...]] = [()]
-            for pool in pools:
-                stack = [prefix + (c,) for prefix in stack for c in pool]
-            out.extend(KTree(children=children) for children in stack)
+        # the k subtree sizes, in lexicographic order, sum to size - 1
+        for split in product(range(size), repeat=k):
+            if sum(split) == size - 1:
+                pools = [gen(part) for part in split]
+                out.extend(KTree(children=children) for children in product(*pools))
         return out
 
     if m < 1:
         raise TreeError(f"need at least one internal node, got {m}")
     return [t for t in gen(m) if t is not None]
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 # --- DOT export -------------------------------------------------------------

@@ -84,17 +84,20 @@ def shape_of_word(word: Word) -> Shape:
     >>> shape_of_word((1, 2, 3, 3, 3, 2)).multiplicities
     (1, 2, 3)
     """
-    if not word:
-        raise WordError("empty word has no shape")
-    m = max(word)
-    counts = [0] * m
+    check_word(word)
+    counts = [0] * max(word)
     for d in word:
-        if d < 1:
-            raise WordError(f"digit {d} outside 1..{m}")
         counts[d - 1] += 1
-    if 0 in counts:
-        raise WordError(f"value {counts.index(0) + 1} missing from word")
     return Shape(tuple(counts))
+
+
+def check_word(word: Word) -> None:
+    """Raise WordError unless the digits of `word` are exactly 1..max(word)."""
+    if not word:
+        raise WordError("empty word")
+    values = set(word)
+    if min(values) < 1 or len(values) != max(values):
+        raise WordError(f"{format_word(word)} does not use exactly the values 1..{max(values)}")
 
 
 def validate_word(shape: Shape, word: Word) -> None:
@@ -125,33 +128,6 @@ def rank_of(shape: Shape, word: Word, i: int) -> int:
         if word[j] == v:
             seen += 1
     return shape.prefix[v - 1] + seen
-
-
-def ranks(shape: Shape, word: Word) -> tuple[int, ...]:
-    """Ranks of all digits, by position."""
-    seen = [0] * shape.m
-    out = []
-    for d in word:
-        seen[d - 1] += 1
-        out.append(shape.prefix[d - 1] + seen[d - 1])
-    return tuple(out)
-
-
-def rank_positions(shape: Shape, word: Word) -> tuple[int, ...]:
-    """Inverse of `ranks`: entry r-1 is the 1-based index of the rank-r digit."""
-    seen = [0] * shape.m
-    pos = [0] * len(word)
-    for i, d in enumerate(word, start=1):
-        seen[d - 1] += 1
-        pos[shape.prefix[d - 1] + seen[d - 1] - 1] = i
-    return tuple(pos)
-
-
-def index_of_rank(shape: Shape, word: Word, r: int) -> int:
-    """1-based index of the digit with rank r."""
-    if not 1 <= r <= len(word):
-        raise WordError(f"rank {r} out of range 1..{len(word)}")
-    return rank_positions(shape, word)[r - 1]
 
 
 def parse_word(text: str) -> Word:

@@ -203,6 +203,23 @@ class TestJumps:
         assert maximum_jump((1, 2, 3), 3, RIGHT) is None
         assert maximum_jump((2, 1, 1, 2), 1, RIGHT) == (1, 1, 2, 2)
 
+    @pytest.mark.parametrize("i", [0, 4, -1])
+    def test_index_outside_the_word(self, i):
+        # indices run 1..n; 0 and -1 must not wrap round to the last digit
+        word = (1, 2, 3)
+        for direction in (RIGHT, LEFT):
+            with pytest.raises(BumpError, match="index"):
+                apply_jump(word, i, direction, 1)
+            with pytest.raises(BumpError, match="index"):
+                maximum_jump(word, i, direction)
+
+    def test_unknown_direction(self):
+        word = (1, 2, 3)
+        with pytest.raises(BumpError, match="direction"):
+            apply_jump(word, 2, "X", 1)
+        with pytest.raises(BumpError, match="direction"):
+            maximum_jump(word, 2, "X")
+
     @pytest.mark.parametrize("mult", [(1, 1, 1), (2, 2), (2, 1, 2)])
     def test_maximum_jump_is_apply_jump_at_limit(self, mult):
         for word in all_words(mult):

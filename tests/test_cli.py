@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import swordgen
 from swordgen.cli import parse_and_dispatch
 from swordgen.greedy import run_from_payload
@@ -147,6 +149,26 @@ class TestBadInput:
         assert code == 2
         assert out == ""
         assert "--cap" in err and "-1" in err
+
+
+class TestOutputBound:
+    @pytest.mark.parametrize(
+        "argv", [("path",), ("trace",), ("trees",), ("generate", "--avoid", "212")]
+    )
+    def test_oversized_output_is_refused(self, capsys, argv):
+        # 30! words: refused before the loop starts, not after memory runs out
+        code, out, err = run_cli(capsys, argv[0], "--shape", "1^30", *argv[1:])
+        assert code == 3
+        assert out == ""
+        assert "cap" in err
+
+    def test_default_cap_bounds_the_output(self, capsys, monkeypatch):
+        monkeypatch.setenv("SWORDGEN_CAP", "100")
+        code, _, err = run_cli(capsys, "path", "--shape", "2^4")  # 105 vectors
+        assert code == 3 and "105" in err
+        monkeypatch.setenv("SWORDGEN_CAP", "105")
+        code, out, _ = run_cli(capsys, "path", "--shape", "2^4")
+        assert code == 0 and len(out.splitlines()) == 105
 
 
 class TestVerify:

@@ -9,7 +9,6 @@ from swordgen.patterns import (
     avoids_212,
     avoids_all,
     contains_pattern,
-    membership,
     normalize_patterns,
     parse_pattern,
 )
@@ -96,10 +95,3 @@ class TestLanguageSpec:
     def test_normalizes_string_patterns(self):
         spec = LanguageSpec(make_shape((2, 2)), {"212"})
         assert spec.patterns == frozenset({(2, 1, 2)})
-
-    def test_membership_predicate(self):
-        spec = LanguageSpec(make_shape((2, 2)), {"212"})
-        member = membership(spec)
-        assert member((1, 1, 2, 2))
-        assert not member((2, 1, 1, 2))  # contains 212
-        assert not member((1, 1, 2, 3))  # wrong shape

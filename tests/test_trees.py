@@ -3,7 +3,8 @@ import re
 
 import pytest
 
-from swordgen.oracle import all_shapes, k_catalan, language, stirling_count
+from swordgen.oracle import all_shapes, all_swords, k_catalan, language, stirling_count
+from swordgen.patterns import contains_pattern
 from swordgen.stirling import loopless_run, stirling_sequence, trace
 from swordgen.trees import (
     KTree,
@@ -61,6 +62,28 @@ class TestSTree:
             stirling_word_to_tree((2, 1, 2))
         with pytest.raises(WordError):
             stirling_word_to_tree(())
+
+    def test_rejects_non_words(self):
+        # a missing value or a digit below 1 is no word, and no tree
+        # reads back into it
+        for bad in [(1, 3), (0, 1), (2, 2), (-1, 1)]:
+            with pytest.raises(WordError):
+                stirling_word_to_tree(bad)
+            with pytest.raises(WordError):
+                inversion_vector(bad)
+
+    def test_raise_exactly_on_212(self):
+        for total in range(1, 8):
+            for shape in all_shapes(total):
+                for w in all_swords(shape):
+                    has_212 = contains_pattern(w, (2, 1, 2))
+                    for decode in (stirling_word_to_tree, inversion_vector):
+                        try:
+                            decode(w)
+                        except WordError:
+                            assert has_212, (decode.__name__, w)
+                        else:
+                            assert not has_212, (decode.__name__, w)
 
     def test_rejects_bad_labels(self):
         upside_down = STree(2, (STree(1, (None, None)), None))
