@@ -23,10 +23,7 @@ from . import greedy, oracle, stirling, trees, zigzag
 from .greedy import GrayCodeRun, run_to_payload
 from .oracle import SizeLimitError
 from .patterns import LanguageSpec, normalize_patterns
-from .words import Shape, format_word, parse_shape, parse_word
-
-STIRLING = oracle.STIRLING_PATTERNS
-KCATALAN = oracle.KCATALAN_PATTERNS
+from .words import format_word, parse_shape, parse_word
 
 
 def _parse_avoid(text: str | None):
@@ -48,10 +45,9 @@ def _build_run(args) -> tuple[GrayCodeRun, str]:
     refuses other pattern sets; only the greedy engine takes --start."""
     shape = parse_shape(args.shape)
     pats = _parse_avoid(args.avoid)
-    engine = args.engine
-    if engine is None:
-        engine = "loopless" if pats == STIRLING else "greedy"
-    if engine == "loopless" and args.avoid is not None and pats != STIRLING:
+    is_212 = pats == oracle.STIRLING_PATTERNS
+    engine = args.engine or ("loopless" if is_212 else "greedy")
+    if engine == "loopless" and args.avoid is not None and not is_212:
         raise ValueError("the loopless engine only generates the 212-avoiding language")
     if args.start is not None and engine != "greedy":
         raise ValueError("only the greedy engine honors --start")
@@ -94,26 +90,14 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _formula_count(shape: Shape, pats) -> int:
-    if pats == frozenset():
-        return oracle.multinomial(shape)
-    if pats == STIRLING:
-        return oracle.stirling_count(shape)
-    if pats == KCATALAN:
-        mult = set(shape.multiplicities)
-        if len(mult) == 1:
-            return oracle.k_catalan(shape.multiplicities[0] + 1, shape.m)
-        raise ValueError("the 132,121 formula needs every value to have the same multiplicity")
-    raise ValueError(f"no closed formula for patterns {sorted(pats)}")
-
-
 def _cmd_count(args) -> int:
     shape = parse_shape(args.shape)
     pats = _parse_avoid(args.avoid)
-    if args.method == "formula":
-        print(_formula_count(shape, pats))
-    else:
-        print(oracle.count_avoiding(shape, pats, args.cap))
+    if args.method == "oracle":
+        count = oracle.count_avoiding(shape, pats, args.cap)
+    elif (count := oracle.formula_count(shape, pats)) is None:
+        raise ValueError(f"no closed formula for patterns {sorted(pats)} on this shape")
+    print(count)
     return 0
 
 
@@ -190,7 +174,7 @@ def _cmd_trees(args) -> int:
             k = shape.multiplicities[0] + 1
         if mult != {k - 1}:
             raise ValueError(f"--k {k} needs every multiplicity to be {k - 1}")
-        run = greedy.generate_greedy(shape, KCATALAN, cap=args.cap)
+        run = greedy.generate_greedy(shape, oracle.KCATALAN_PATTERNS, cap=args.cap)
         words = list(run.words)
         forest = [trees.kcatalan_word_to_tree(w, k) for w in words]
     if args.format == "json":

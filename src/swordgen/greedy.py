@@ -26,7 +26,7 @@ from . import oracle
 from .bumps import LEFT, RIGHT, BumpMove, classify_move
 from .bumps import _first_bump, _move  # the minimal-bump search
 from .oracle import Language, SizeLimitError
-from .patterns import LanguageSpec, avoids_212, avoids_all, normalize_patterns
+from .patterns import LanguageSpec, avoids_all, normalize_patterns
 from .words import (
     Shape,
     Word,
@@ -161,10 +161,11 @@ def generate_greedy(
     if not avoids_all(word, pats):
         raise InvalidStartError("start word is outside the language")
 
-    member = oracle.member_test(pats)
-    if member is avoids_212:
-        # test each candidate directly: the size needs no enumeration
-        size = _language_size(shape, pats, cap)
+    oracle._check_cap(shape, oracle.multinomial(shape), cap)
+    size = oracle.formula_count(shape, pats)
+    if size is not None:
+        # a closed form sizes the language: test each candidate directly
+        member = oracle.member_test(pats)
     else:
         lang = oracle.language(shape, pats, cap)
         member, size = lang.word_set().__contains__, len(lang)
@@ -180,19 +181,9 @@ def generate_greedy(
     )
 
 
-def _language_size(shape: Shape, patterns: frozenset[Word], cap: int | None) -> int:
-    """|L| for a normalised pattern set: the product formula for {212}, the
-    oracle's count otherwise.  Either way a shape whose multinomial exceeds
-    the cap raises SizeLimitError."""
-    oracle._check_cap(shape, oracle.multinomial(shape), cap)
-    if patterns == oracle.STIRLING_PATTERNS:
-        return oracle.stirling_count(shape)
-    return oracle.count_avoiding(shape, patterns, cap)
-
-
 def verify_gray_code(run: GrayCodeRun, cap: int | None = None) -> GrayCodeReport:
-    """Check a run: membership, distinctness, exhaustiveness (by counting,
-    when the language size is known within the cap), and that every
+    """Check a run: membership, distinctness, exhaustiveness (by count: the
+    closed form, else the oracle's; None over the cap), and that every
     transition classifies as exactly the recorded bump."""
     counterexamples: dict = {}
 
@@ -220,10 +211,13 @@ def verify_gray_code(run: GrayCodeRun, cap: int | None = None) -> GrayCodeReport
 
     exhaustive: Optional[bool]
     try:
-        size = _language_size(run.shape, run.patterns, cap)
+        oracle._check_cap(run.shape, oracle.multinomial(run.shape), cap)
     except SizeLimitError:
         exhaustive = None
     else:
+        size = oracle.formula_count(run.shape, run.patterns)
+        if size is None:
+            size = oracle.count_avoiding(run.shape, run.patterns, cap)
         # members cover the language once as many distinct ones as its size
         # were visited
         visited = len(set(run.words))
@@ -301,21 +295,17 @@ def children(
     (equivalently: have at least one child).
     """
     pats = normalize_patterns(patterns)
-    pshape = parent_shape(shape)
-    if pshape.m:
-        validate_word(pshape, word2)
-    elif word2:
-        raise WordError(f"expected the empty word, got {word2}")
+    validate_word(parent_shape(shape), word2)
     m = shape.m
     member = oracle.member_test(pats)
-    out = set()
-    for p in range(len(word2) + 1):
-        cand = word2[:p] + (m,) + word2[p:]
-        if parent_word(cand) == word2 and member(cand):
-            out.add(cand)
+    # parent_word removes exactly a copy of m inserted right of the others;
+    # a later insertion point gives a lexicographically smaller word
+    first = len(word2) - word2[::-1].index(m) if m in word2 else 0
+    cands = (word2[:p] + (m,) + word2[p:] for p in range(len(word2), first - 1, -1))
+    out = list(filter(member, cands))
     if not out:
         raise WordError(f"{word2} is not in the parent language")
-    return sorted(out)
+    return out
 
 
 def project_to_parent(run: GrayCodeRun) -> list[Word]:

@@ -105,15 +105,18 @@ def avoids_212(word: Word) -> bool:
     # One left-to-right pass over a stack of open values, strictly
     # increasing upwards from a 0 sentinel.  A digit closes every larger
     # open value; seeing a closed value again means a smaller digit sat
-    # between two of its copies.
+    # between two of its copies.  A digit below 0 takes the general search.
     stack = [0]
     seen = set()
-    for d in word:
-        while stack[-1] > d:
-            stack.pop()
-        if stack[-1] != d:
-            if d in seen:
-                return False
-            seen.add(d)
-            stack.append(d)
+    try:
+        for d in word:
+            while stack[-1] > d:
+                stack.pop()
+            if stack[-1] != d:
+                if d in seen:
+                    return False
+                seen.add(d)
+                stack.append(d)
+    except IndexError:
+        return not contains_pattern(word, (2, 1, 2))
     return True

@@ -106,12 +106,14 @@ def tree_to_stirling_word(tree: STree) -> Word:
     """Read an increasing tree back into its word.
 
     Validates the invariants: labels are exactly 1..m, each once, strictly
-    increasing away from the root.
+    increasing away from the root, and every node has at least 2 slots.
     """
     labels: list[int] = []
     out: list[int] = []
 
     def read(node: STree) -> None:
+        if len(node.children) < 2:
+            raise TreeError(f"node {node.label} has fewer than 2 child slots")
         labels.append(node.label)
         for k, child in enumerate(node.children):
             if k:

@@ -153,19 +153,21 @@ def format_word(word: Word) -> str:
 
 
 def parse_shape(text: str) -> Shape:
-    """Parse "2,1,3" with optional v^k items, e.g. "2^3" -> (2, 2, 2)."""
-    mult: list[int] = []
+    """Parse "2,1,3" with optional v^k items, e.g. "2^3" -> (2, 2, 2).  More
+    values than the default cap raise SizeLimitError before the list is built."""
+    from .oracle import SizeLimitError, resolve_cap  # oracle imports words
+    items: list[tuple[int, int]] = []
     for part in text.strip().split(","):
         part = part.strip()
+        base, hat, count = part.partition("^")
         try:
-            if "^" in part:
-                base, _, count = part.partition("^")
-                mult.extend([int(base)] * int(count))
-            else:
-                mult.append(int(part))
+            items.append((int(base), int(count) if hat else 1))
         except ValueError as exc:
             raise ShapeError(f"cannot parse shape item {part!r}") from exc
-    return make_shape(mult)
+    m, limit = sum(max(k, 0) for _, k in items), resolve_cap()
+    if m > limit:
+        raise SizeLimitError(f"shape has {m} values, over the cap of {limit}")
+    return make_shape([s for s, k in items for _ in range(k)])
 
 
 def format_shape(shape: Shape) -> str:

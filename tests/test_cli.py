@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -161,6 +162,13 @@ class TestOutputBound:
         assert code == 3
         assert out == ""
         assert "cap" in err
+
+    def test_huge_shape_is_refused_before_it_is_built(self, capsys):
+        # 10^8 values: refused while parsing, without building the list
+        begin = time.perf_counter()
+        code, out, err = run_cli(capsys, "generate", "--shape", "2^100000000")
+        assert time.perf_counter() - begin < 1.0
+        assert code == 3 and out == "" and "cap" in err
 
     def test_default_cap_bounds_the_output(self, capsys, monkeypatch):
         monkeypatch.setenv("SWORDGEN_CAP", "100")

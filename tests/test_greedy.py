@@ -21,7 +21,7 @@ from swordgen.greedy import (
     run_to_payload,
     verify_gray_code,
 )
-from swordgen.oracle import SizeLimitError, all_shapes, language, multinomial
+from swordgen.oracle import SizeLimitError, all_shapes, all_swords, language, multinomial
 from swordgen.patterns import avoids_all, normalize_patterns
 from swordgen.stirling import loopless_run
 from swordgen.words import WordError, make_shape, nondecreasing_word
@@ -74,6 +74,20 @@ class TestEngineOptions:
                 run = generate_greedy(shape, {"212"})
                 assert run.complete, shape.multiplicities
                 assert set(run.words) == language(shape, {"212"}).word_set()
+
+    def test_closed_form_languages_are_not_listed(self, monkeypatch):
+        # with a closed form for the size, candidates are tested directly;
+        # without one the language is listed once
+        def refuse(*args, **kwargs):
+            raise AssertionError("greedy listed the language")
+
+        monkeypatch.setattr(oracle, "language", refuse)
+        shape = make_shape((2, 2, 2, 2))
+        for pats in (set(), {"132", "121"}):
+            run = generate_greedy(shape, pats)
+            assert run.complete and len(run.words) == oracle.count_avoiding(shape, pats)
+        with pytest.raises(AssertionError, match="listed the language"):
+            generate_greedy(shape, {"231"})
 
     def test_212_run_respects_the_cap(self):
         with pytest.raises(SizeLimitError):
@@ -240,8 +254,8 @@ class TestParentMachinery:
             assert parent_word(c) == (1, 1, 2)
 
     def test_children_with_duplicate_maximum(self):
-        # inserting another copy of the maximum: only slots at or right of
-        # the existing copies survive the round trip, and duplicates collapse
+        # inserting another copy of the maximum: only slots right of the
+        # existing copies survive the round trip
         assert children((2, 1), make_shape((1, 2))) == [(2, 1, 2), (2, 2, 1)]
         assert children((1, 2, 2), make_shape((1, 3))) == [(1, 2, 2, 2)]
 
@@ -253,6 +267,27 @@ class TestParentMachinery:
         assert full == [(1, 1, 2, 3), (1, 1, 3, 2), (1, 3, 1, 2), (3, 1, 1, 2)]
         for c in full:
             assert avoids_all(c, normalize_patterns({"212"}))
+
+    @pytest.mark.parametrize(
+        "pats",
+        [set(), {"231"}, {"12121"}, {"132", "121"}, {"132", "231", "121"}, {"212"}],
+        ids=["none", "231", "12121", "132,121", "132,231,121", "212"],
+    )
+    def test_children_match_brute_force(self, pats):
+        # every word of every parent shape with n <= 6: its children are the
+        # language words that project onto it, and it has none exactly when
+        # children raises
+        for total in range(1, 8):
+            for shape in all_shapes(total):
+                want: dict = {}
+                for w in language(shape, pats).words:
+                    want.setdefault(parent_word(w), []).append(w)
+                for w2 in all_swords(parent_shape(shape)):
+                    if w2 in want:
+                        assert children(w2, shape, pats) == want[w2], (shape, w2)
+                    else:
+                        with pytest.raises(WordError):
+                            children(w2, shape, pats)
 
     def test_children_of_outsider_raises(self):
         with pytest.raises(WordError):

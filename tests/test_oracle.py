@@ -13,6 +13,7 @@ from swordgen.oracle import (
     all_swords,
     count_avoiding,
     count_kary_trees,
+    formula_count,
     k_catalan,
     language,
     multinomial,
@@ -99,6 +100,37 @@ class TestCounting:
             shape = make_shape(mult)
             for pats in ({"212"}, [(2, 1, 2)], STIRLING_PATTERNS):
                 assert count_avoiding(shape, pats) == stirling_count(shape)
+
+    @pytest.mark.parametrize(
+        "pats",
+        [
+            frozenset(),
+            STIRLING_PATTERNS,
+            KCATALAN_PATTERNS,
+            frozenset({(2, 3, 1)}),
+            PEAKLESS_PATTERNS,
+        ],
+        ids=["none", "212", "132,121", "231", "132,231,121"],
+    )
+    def test_formula_count_matches_the_oracle(self, pats):
+        # a closed form, where there is one, equals brute force on n <= 7
+        formulas = 0
+        for total in range(1, 8):
+            for shape in all_shapes(total):
+                got = formula_count(shape, pats)
+                if got is not None:
+                    formulas += 1
+                    assert got == count_avoiding(shape, pats), shape.multiplicities
+        has_formula = pats in (frozenset(), STIRLING_PATTERNS, KCATALAN_PATTERNS)
+        assert (formulas > 0) == has_formula
+
+    def test_formula_count_cases(self):
+        assert formula_count(make_shape((2, 2, 2)), KCATALAN_PATTERNS) == 12
+        assert formula_count(make_shape((1,) * 5), KCATALAN_PATTERNS) == 42
+        # k-Catalan needs equal multiplicities
+        assert formula_count(make_shape((2, 1)), KCATALAN_PATTERNS) is None
+        # no cap applies: 30! words are counted, not listed
+        assert formula_count(make_shape((1,) * 30), frozenset()) == math.factorial(30)
 
     @pytest.mark.parametrize(
         "pats", [{"212"}, {"231"}, {"132", "121"}], ids=["212", "231", "132,121"]

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swordgen.patterns import (
     check_pattern,
@@ -76,6 +78,13 @@ class TestContainment:
         for mult in [(1, 1, 1), (2, 2), (2, 1, 3), (1, 2, 2, 1)]:
             for word in all_words(mult):
                 assert avoids_212(word) == (not brute_contains(word, (2, 1, 2)))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.integers(-3, 4), max_size=8))
+    def test_avoids_212_on_any_ints(self, word):
+        # digits below 1, and below the stack's 0 sentinel, included
+        word = tuple(word)
+        assert avoids_212(word) == (not contains_pattern(word, (2, 1, 2)))
 
     def test_avoids_all(self):
         assert avoids_all((1, 2, 3), frozenset())

@@ -89,9 +89,16 @@ class TestSTree:
         upside_down = STree(2, (STree(1, (None, None)), None))
         with pytest.raises(TreeError):
             tree_to_stirling_word(upside_down)
-        gap = STree(1, (None, STree(3, (None,))))
+        gap = STree(1, (None, STree(3, (None, None))))
         with pytest.raises(TreeError):
             tree_to_stirling_word(gap)
+
+    def test_rejects_nodes_without_two_slots(self):
+        # a value has at least one copy, so its node has at least two slots;
+        # fewer would read back a word that loses values
+        for tree in (STree(1, (STree(2, (None,)), None)), STree(1, ())):
+            with pytest.raises(TreeError, match="slots"):
+                tree_to_stirling_word(tree)
 
 
 class TestInversionVector:

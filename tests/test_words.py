@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from swordgen.oracle import SizeLimitError
 from swordgen.words import (
     Shape,
     ShapeError,
@@ -87,6 +88,15 @@ class TestParsing:
                 parse_shape(bad)
         with pytest.raises(WordError):
             parse_word("1a2")
+
+    def test_shape_over_the_cap_is_refused(self, monkeypatch):
+        # the number of values is checked before the list is built
+        monkeypatch.setenv("SWORDGEN_CAP", "1000")
+        with pytest.raises(SizeLimitError):
+            parse_shape("1^5000")
+        with pytest.raises(SizeLimitError):
+            parse_shape("2,1^1000")
+        assert parse_shape("1^1000").m == 1000
 
     def test_shape_of_word(self):
         assert shape_of_word((2, 1, 2)).multiplicities == (1, 2)
