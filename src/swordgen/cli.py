@@ -32,6 +32,12 @@ def _parse_avoid(text: str | None):
     return normalize_patterns(p for p in text.split(",") if p.strip())
 
 
+def _cap(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload))
 
@@ -238,11 +244,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, cap=True):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--shape", required=name != "zigzag", help="multiplicities, e.g. 2,1,3 or 2^8")
-        p.add_argument("--cap", type=int, default=None, help="enumeration size limit")
+        if cap:
+            p.add_argument("--cap", type=_cap, default=None, help="enumeration size limit")
         return p
 
     p = add("generate", _cmd_generate, "emit a word sequence")
@@ -262,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--avoid", default=None)
     p.add_argument("--method", choices=("oracle", "formula"), default="oracle")
 
-    p = add("trace", _cmd_trace, "per-visit variable table of the loopless engine")
+    p = add("trace", _cmd_trace, "per-visit variable table of the loopless engine", cap=False)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = add("zigzag", _cmd_zigzag, "test the zig-zag property")
@@ -274,10 +281,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="arity for --kind kary")
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
 
-    p = add("path", _cmd_path, "inversion-vector path through the box")
+    p = add("path", _cmd_path, "inversion-vector path through the box", cap=False)
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
 
-    add("bench", _cmd_bench, "time the loopless counter")
+    add("bench", _cmd_bench, "time the loopless counter", cap=False)
 
     return parser
 
@@ -286,8 +293,6 @@ def parse_and_dispatch(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.cap is not None and args.cap < 0:
-            parser.error(f"argument --cap: must be >= 0, got {args.cap}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -33,6 +33,8 @@ def resolve_cap(cap: int | None = None) -> int:
     if cap is not None:
         return cap
     env = os.environ.get("SWORDGEN_CAP")
+    if env and not env.strip().isdecimal():
+        raise ValueError(f"SWORDGEN_CAP must be an integer >= 0, got {env!r}")
     return int(env) if env else DEFAULT_CAP
 
 

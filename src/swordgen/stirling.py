@@ -11,12 +11,16 @@ value adjacent-or-separated only by smaller digits, which is exactly
 avoidance of 212.
 
 `_loopless` is the one implementation of the loop: it counts, streams,
-and produces the per-visit variable trace.  `step_stats` is its
-instrumented twin, kept statement for statement equal by a test.
+and produces the per-visit variable trace.  `step_stats` traces that
+same loop and counts the lines each pass runs; like any line count, it
+does not see work hidden inside one line, such as a call or a slice.
 """
 
 from __future__ import annotations
 
+import ast
+import inspect
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -192,67 +196,32 @@ def trace(shape: Shape) -> list[TraceRow]:
 
 
 def step_stats(shape: Shape) -> tuple[int, int]:
-    """(visit count, max primitive steps spent between visits): the step
-    maximum stays constant across shapes, which is the loopless claim in
-    checkable form.
+    """(visit count, most lines one pass of the loop runs): a maximum that
+    stays constant across shapes is the loopless claim in checkable form.
+    Traces `_loopless` itself, handing each word to a no-op visitor whose
+    lines are not counted; the lines before the loop and the exit pass
+    are not recorded."""
+    loop = _loopless  # looked up per call, so a test can substitute it
+    lines, first = inspect.getsourcelines(loop)
+    (node,) = [n for n in ast.walk(ast.parse("".join(lines))) if isinstance(n, ast.While)]
+    first += node.body[0].lineno - 1  # a pass starts at the body's first line
+    steps = max_steps = 0
 
-    The loop is `_loopless` with no visitor, plus a `steps += 1` after
-    every primitive statement and branch test other than the loop's exit
-    test.
-    """
-    m, s, t, perm, left, inv, fs, dirs = _initial_state(shape)
-    count = 0
-    max_steps = 0
-    while True:
-        steps = 0
-        v = fs[m]
+    def count_lines(frame, event, arg):
+        nonlocal steps, max_steps
+        if frame.f_lineno == first:
+            max_steps = max(max_steps, steps)
+            steps = 0
         steps += 1
-        fs[m] = m
-        steps += 1
-        if v <= 1:
-            break
-        d = dirs[v]
-        steps += 1
-        if d == 1:
-            steps += 1
-            i = left[v]
-            steps += 1
-            j = left[v] + s[v]
-            steps += 1
-        else:
-            steps += 1
-            i = left[v] + s[v] - 1
-            steps += 1
-            j = left[v] - 1
-            steps += 1
-        u = perm[j - 1]
-        steps += 1
-        count += 1
-        steps += 1
-        perm[i - 1] = u
-        steps += 1
-        perm[j - 1] = v
-        steps += 1
-        left[v] += d
-        steps += 1
-        if left[u] == j:
-            steps += 1
-            left[u] -= d * s[v]
-            steps += 1
-        else:
-            steps += 1
-        inv[v] -= d
-        steps += 1
-        if inv[v] == 0 or inv[v] == t[v]:
-            steps += 1
-            dirs[v] = -d
-            steps += 1
-            fs[v] = fs[v - 1]
-            steps += 1
-            fs[v - 1] = v - 1
-            steps += 1
-        else:
-            steps += 1
-        if steps > max_steps:
-            max_steps = steps
-    return count + 1, max_steps
+        return count_lines
+
+    def wait_for_loop(frame, event, arg):
+        return count_lines(frame, event, arg) if frame.f_lineno == first else wait_for_loop
+
+    caller = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: wait_for_loop if frame.f_code is loop.__code__ else None)
+    try:
+        count = loop(shape, lambda *_: None)
+    finally:
+        sys.settrace(caller)
+    return count, max_steps

@@ -161,10 +161,13 @@ def parse_shape(text: str) -> Shape:
         part = part.strip()
         base, hat, count = part.partition("^")
         try:
-            items.append((int(base), int(count) if hat else 1))
+            value, k = int(base), int(count) if hat else 1
         except ValueError as exc:
             raise ShapeError(f"cannot parse shape item {part!r}") from exc
-    m, limit = sum(max(k, 0) for _, k in items), resolve_cap()
+        if k < 1:
+            raise ShapeError(f"repeat count in shape item {part!r} must be >= 1")
+        items.append((value, k))
+    m, limit = sum(k for _, k in items), resolve_cap()
     if m > limit:
         raise SizeLimitError(f"shape has {m} values, over the cap of {limit}")
     return make_shape([s for s, k in items for _ in range(k)])

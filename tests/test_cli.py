@@ -151,6 +151,28 @@ class TestBadInput:
         assert out == ""
         assert "--cap" in err and "-1" in err
 
+    @pytest.mark.parametrize("command", ["trace", "path", "bench"])
+    def test_cap_only_where_it_is_read(self, capsys, command):
+        # these commands never consult the oracle's cap, so they refuse the flag
+        code, out, err = run_cli(capsys, command, "--shape", "2,1", "--cap", "0")
+        assert code == 2
+        assert out == ""
+        assert "--cap" in err
+
+    def test_zero_repeat_count_is_malformed(self, capsys):
+        code, out, err = run_cli(capsys, "generate", "--shape", "1,2^0")
+        assert code == 2
+        assert out == ""
+        assert "2^0" in err
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_bad_cap_variable_is_malformed(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("SWORDGEN_CAP", value)
+        code, out, err = run_cli(capsys, "count", "--shape", "2,2")
+        assert code == 2
+        assert out == ""
+        assert "SWORDGEN_CAP" in err
+
 
 class TestOutputBound:
     @pytest.mark.parametrize(

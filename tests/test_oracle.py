@@ -161,6 +161,8 @@ class TestCap:
         assert resolve_cap(None) == 456
         monkeypatch.delenv("SWORDGEN_CAP")
         assert resolve_cap(None) == 10_000_000
+        monkeypatch.setenv("SWORDGEN_CAP", "")
+        assert resolve_cap(None) == 10_000_000
 
 
 class TestShapes:

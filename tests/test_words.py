@@ -89,6 +89,11 @@ class TestParsing:
         with pytest.raises(WordError):
             parse_word("1a2")
 
+    def test_repeat_count_below_one_is_refused(self):
+        for bad in ("1,2^-3", "2^0,1", "1,2^0"):
+            with pytest.raises(ShapeError):
+                parse_shape(bad)
+
     def test_shape_over_the_cap_is_refused(self, monkeypatch):
         # the number of values is checked before the list is built
         monkeypatch.setenv("SWORDGEN_CAP", "1000")
