@@ -9,146 +9,24 @@ language, and a loopless engine for the 212-avoiding words, plus
 bijections onto increasing trees, k-ary trees and inversion vectors.
 """
 
-from .bumps import (
-    LEFT,
-    RIGHT,
-    BumpError,
-    BumpMove,
-    apply_bump,
-    apply_jump,
-    classify_move,
-    max_pass,
-    maximum_jump,
-    minimal_bump,
-)
-from .greedy import (
-    GrayCodeReport,
-    GrayCodeRun,
-    InvalidStartError,
-    children,
-    generate_greedy,
-    parent_language,
-    parent_shape,
-    parent_word,
-    project_to_parent,
-    verify_gray_code,
-)
+from .bumps import BumpMove, classify_move
+from .greedy import GrayCodeReport, GrayCodeRun, generate_greedy, verify_gray_code
 from .oracle import (
-    KCATALAN_PATTERNS,
-    PEAKLESS_PATTERNS,
     STIRLING_PATTERNS,
-    Language,
     SizeLimitError,
     all_shapes,
-    all_swords,
     count_avoiding,
-    k_catalan,
     language,
-    multinomial,
     stirling_count,
 )
-from .patterns import LanguageSpec, PatternError, avoids_all, contains_pattern, parse_pattern
-from .stirling import TraceRow, generate_loopless, loopless_run, stirling_sequence, trace
+from .stirling import generate_loopless, stirling_sequence
 from .trees import (
-    KTree,
-    STree,
-    TreeError,
-    all_kary_trees,
-    export_dot,
     hamilton_path,
     inversion_vector,
-    kcatalan_word_to_tree,
-    ktree_to_word,
     stirling_word_to_tree,
     tree_to_stirling_word,
     word_from_inversion_vector,
 )
-from .words import (
-    Shape,
-    ShapeError,
-    Word,
-    WordError,
-    format_shape,
-    format_word,
-    make_shape,
-    nondecreasing_word,
-    parse_shape,
-    parse_word,
-    rank_of,
-    shape_of_word,
-)
-from .zigzag import peakless_language, semantic_zigzag, syntactic_zigzag
+from .words import Shape, format_word, make_shape, parse_word, shape_of_word
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BumpError",
-    "BumpMove",
-    "GrayCodeReport",
-    "GrayCodeRun",
-    "InvalidStartError",
-    "KCATALAN_PATTERNS",
-    "KTree",
-    "LEFT",
-    "Language",
-    "LanguageSpec",
-    "PEAKLESS_PATTERNS",
-    "PatternError",
-    "RIGHT",
-    "STIRLING_PATTERNS",
-    "STree",
-    "Shape",
-    "ShapeError",
-    "SizeLimitError",
-    "TraceRow",
-    "TreeError",
-    "Word",
-    "WordError",
-    "all_kary_trees",
-    "all_shapes",
-    "all_swords",
-    "apply_bump",
-    "apply_jump",
-    "avoids_all",
-    "children",
-    "classify_move",
-    "contains_pattern",
-    "count_avoiding",
-    "export_dot",
-    "format_shape",
-    "format_word",
-    "generate_greedy",
-    "generate_loopless",
-    "hamilton_path",
-    "inversion_vector",
-    "k_catalan",
-    "kcatalan_word_to_tree",
-    "ktree_to_word",
-    "language",
-    "loopless_run",
-    "make_shape",
-    "max_pass",
-    "maximum_jump",
-    "minimal_bump",
-    "multinomial",
-    "nondecreasing_word",
-    "parent_language",
-    "parent_shape",
-    "parent_word",
-    "parse_pattern",
-    "parse_shape",
-    "parse_word",
-    "peakless_language",
-    "project_to_parent",
-    "rank_of",
-    "semantic_zigzag",
-    "shape_of_word",
-    "stirling_count",
-    "stirling_sequence",
-    "stirling_word_to_tree",
-    "syntactic_zigzag",
-    "trace",
-    "tree_to_stirling_word",
-    "verify_gray_code",
-    "word_from_inversion_vector",
-]

@@ -22,7 +22,7 @@ import time
 from . import greedy, oracle, stirling, trees, zigzag
 from .greedy import GrayCodeRun, run_to_payload
 from .oracle import SizeLimitError
-from .patterns import LanguageSpec, normalize_patterns
+from .patterns import normalize_patterns
 from .words import format_word, parse_shape, parse_word
 
 
@@ -59,11 +59,8 @@ def _build_run(args) -> tuple[GrayCodeRun, str]:
         raise ValueError("only the greedy engine honors --start")
     if engine == "loopless":
         return stirling.loopless_run(shape), engine
-    if engine == "greedy":
-        start = parse_word(args.start) if args.start is not None else None
-        return greedy.generate_greedy(shape, pats, start=start, cap=args.cap), engine
-    lang = oracle.language(shape, pats, args.cap)
-    return GrayCodeRun(shape, pats, lang.words, (), True, greedy.EXHAUSTED), engine
+    start = parse_word(args.start) if args.start is not None else None
+    return greedy.generate_greedy(shape, pats, start=start, cap=args.cap), engine
 
 
 def _cmd_generate(args) -> int:
@@ -154,7 +151,7 @@ def _cmd_zigzag(args) -> int:
         print(f"syntactic: {verdict}")
         negative = negative or not verdict
     if args.mode in ("semantic", "both"):
-        ok, witness = zigzag.semantic_zigzag(LanguageSpec(shape, pats), args.cap)
+        ok, witness = zigzag.semantic_zigzag(shape, pats, args.cap)
         print(f"semantic: {ok}")
         if witness is not None:
             w, i, direction, result = witness
@@ -172,14 +169,9 @@ def _cmd_trees(args) -> int:
         words = stirling.stirling_sequence(shape)
         forest = [trees.stirling_word_to_tree(w) for w in words]
     else:
-        mult = set(shape.multiplicities)
-        k = args.k
-        if k is None:
-            if len(mult) != 1:
-                raise ValueError("--kind kary needs --k or a shape with equal multiplicities")
-            k = shape.multiplicities[0] + 1
-        if mult != {k - 1}:
-            raise ValueError(f"--k {k} needs every multiplicity to be {k - 1}")
+        if len(set(shape.multiplicities)) != 1:
+            raise ValueError("--kind kary needs a shape with equal multiplicities")
+        k = shape.multiplicities[0] + 1
         run = greedy.generate_greedy(shape, oracle.KCATALAN_PATTERNS, cap=args.cap)
         words = list(run.words)
         forest = [trees.kcatalan_word_to_tree(w, k) for w in words]
@@ -254,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("generate", _cmd_generate, "emit a word sequence")
     p.add_argument("--avoid", default=None, help="comma-separated patterns, e.g. 212,132")
-    p.add_argument("--engine", choices=("greedy", "loopless", "oracle-lex"), default=None)
+    p.add_argument("--engine", choices=("greedy", "loopless"), default=None)
     p.add_argument("--start", default=None, help="start word for the greedy engine")
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
     p.add_argument("--expect-complete", action="store_true")
@@ -278,7 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("trees", _cmd_trees, "emit the tree forms of a Gray code")
     p.add_argument("--kind", choices=("stirling", "kary"), default="stirling")
-    p.add_argument("--k", type=int, default=None, help="arity for --kind kary")
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
 
     p = add("path", _cmd_path, "inversion-vector path through the box", cap=False)

@@ -25,8 +25,8 @@ from typing import Callable, Optional
 from . import oracle
 from .bumps import LEFT, RIGHT, BumpMove, classify_move
 from .bumps import _first_bump, _move  # the minimal-bump search
-from .oracle import Language, SizeLimitError
-from .patterns import LanguageSpec, avoids_all, normalize_patterns
+from .oracle import SizeLimitError
+from .patterns import avoids_all, normalize_patterns
 from .words import (
     Shape,
     Word,
@@ -161,14 +161,14 @@ def generate_greedy(
     if not avoids_all(word, pats):
         raise InvalidStartError("start word is outside the language")
 
-    oracle._check_cap(shape, oracle.multinomial(shape), cap)
+    oracle._check_cap(shape, cap)
     size = oracle.formula_count(shape, pats)
     if size is not None:
         # a closed form sizes the language: test each candidate directly
         member = oracle.member_test(pats)
     else:
-        lang = oracle.language(shape, pats, cap)
-        member, size = lang.word_set().__contains__, len(lang)
+        lang = frozenset(oracle.language(shape, pats, cap))
+        member, size = lang.__contains__, len(lang)
     words, moves = _scan(shape, word, member)
     complete = len(words) == size
     return GrayCodeRun(
@@ -211,7 +211,7 @@ def verify_gray_code(run: GrayCodeRun, cap: int | None = None) -> GrayCodeReport
 
     exhaustive: Optional[bool]
     try:
-        oracle._check_cap(run.shape, oracle.multinomial(run.shape), cap)
+        oracle._check_cap(run.shape, cap)
     except SizeLimitError:
         exhaustive = None
     else:
@@ -278,12 +278,9 @@ def parent_word(word: Word) -> Word:
 
 def parent_language(
     shape: Shape, patterns=frozenset(), cap: int | None = None
-) -> Language:
+) -> tuple[Word, ...]:
     """Image of the language under parent_word, deduplicated and sorted."""
-    pats = normalize_patterns(patterns)
-    lang = oracle.language(shape, pats, cap)
-    words = tuple(sorted({parent_word(w) for w in lang.words}))
-    return Language(LanguageSpec(parent_shape(shape), pats), words)
+    return tuple(sorted({parent_word(w) for w in oracle.language(shape, patterns, cap)}))
 
 
 def children(

@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .patterns import LanguageSpec, avoids_212, avoids_all, normalize_patterns
+from .patterns import avoids_212, avoids_all, normalize_patterns
 from .words import Shape, Word, make_shape, nondecreasing_word
 
 DEFAULT_CAP = 10_000_000
 
 STIRLING_PATTERNS = frozenset({(2, 1, 2)})
 KCATALAN_PATTERNS = frozenset({(1, 3, 2), (1, 2, 1)})
+# the peakless words lie in every zig-zag language over their shape
 PEAKLESS_PATTERNS = frozenset({(1, 3, 2), (2, 3, 1), (1, 2, 1)})
 
 
@@ -44,10 +44,9 @@ def multinomial(shape: Shape) -> int:
     >>> multinomial(make_shape((2, 1, 3)))
     60
     """
-    out = math.factorial(shape.n)
-    for s in shape.multiplicities:
-        out //= math.factorial(s)
-    return out
+    # one division: n!/s_max! as a falling product, over the other s_v!
+    *rest, top = sorted(shape.multiplicities) or [0]
+    return math.perm(shape.n, shape.n - top) // math.prod(map(math.factorial, rest))
 
 
 def stirling_count(shape: Shape) -> int:
@@ -111,14 +110,29 @@ def count_kary_trees(k: int, m: int) -> int:
     return spread(k, m - 1)
 
 
-def _check_cap(shape: Shape, size: int, cap: int | None) -> int:
-    """Raise SizeLimitError when `size` words of the shape exceed the cap."""
+def _size_steps(shape: Shape, only_212: bool):
+    # 1, then the size built up one small factor at a time: the product of
+    # C(t_v + s_v, s_v), or of t_v + 1 for {212}.  Every partial product is
+    # an integer and none is smaller than the one before.
+    size = 1
+    yield size
+    for t, s in zip(shape.prefix, shape.multiplicities):
+        k, top = (1, t) if only_212 else (min(s, t), max(s, t))
+        for i in range(1, k + 1):
+            size = size * (top + i) // i
+            yield size
+
+
+def _check_cap(shape: Shape, cap: int | None, only_212: bool = False) -> None:
+    """Raise SizeLimitError when the shape has more words (212-avoiding
+    words with `only_212`) than the cap.  The size is multiplied up only
+    until it passes the cap, so a huge shape is refused at once."""
     limit = resolve_cap(cap)
-    if size > limit:
+    if any(size > limit for size in _size_steps(shape, only_212)):
         raise SizeLimitError(
-            f"shape {shape.multiplicities} has {size} words, over the cap of {limit}"
+            f"shape with n={shape.n}, m={shape.m} has more "
+            f"{'212-avoiding words' if only_212 else 'words'} than the cap of {limit}"
         )
-    return size
 
 
 def _next_multiset_perm(a: list[int]) -> bool:
@@ -139,32 +153,12 @@ def _next_multiset_perm(a: list[int]) -> bool:
 
 def all_swords(shape: Shape, cap: int | None = None) -> list[Word]:
     """All words of the shape in lexicographic order."""
-    _check_cap(shape, multinomial(shape), cap)
+    _check_cap(shape, cap)
     a = list(nondecreasing_word(shape))
     out = [tuple(a)]
     while _next_multiset_perm(a):
         out.append(tuple(a))
     return out
-
-
-@dataclass(frozen=True)
-class Language:
-    """A language spec together with its sorted word list."""
-
-    spec: LanguageSpec
-    words: tuple[Word, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_word_set", frozenset(self.words))
-
-    def __contains__(self, word: Word) -> bool:
-        return word in self._word_set
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def word_set(self) -> frozenset:
-        return self._word_set
 
 
 def member_test(patterns: frozenset[Word]) -> Callable[[Word], bool]:
@@ -184,11 +178,14 @@ def language(
     shape: Shape,
     patterns=frozenset(),
     cap: int | None = None,
-) -> Language:
-    """The pattern-avoiding words of the shape, lexicographically sorted."""
-    spec = LanguageSpec(shape, patterns)
-    words = tuple(filter(member_test(spec.patterns), all_swords(shape, cap)))
-    return Language(spec, words)
+) -> tuple[Word, ...]:
+    """The pattern-avoiding words of the shape, lexicographically sorted.
+
+    >>> language(make_shape((2, 2)), {"212"})
+    ((1, 1, 2, 2), (1, 2, 2, 1), (2, 2, 1, 1))
+    """
+    member = member_test(normalize_patterns(patterns))
+    return tuple(filter(member, all_swords(shape, cap)))
 
 
 def count_avoiding(
@@ -199,7 +196,8 @@ def count_avoiding(
     """Language size by enumeration (the oracle side of count checks)."""
     pats = normalize_patterns(patterns)
     if not pats:
-        return _check_cap(shape, multinomial(shape), cap)
+        _check_cap(shape, cap)
+        return multinomial(shape)
     return sum(map(member_test(pats), all_swords(shape, cap)))
 
 

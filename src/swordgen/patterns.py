@@ -9,10 +9,9 @@ need strict ones).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
-from .words import Shape, Word, parse_word
+from .words import Word, parse_word
 
 
 class PatternError(ValueError):
@@ -48,17 +47,6 @@ def normalize_patterns(patterns) -> frozenset[Word]:
     for p in patterns:
         out.add(parse_pattern(p) if isinstance(p, str) else check_pattern(p))
     return frozenset(out)
-
-
-@dataclass(frozen=True)
-class LanguageSpec:
-    """A shape plus the pattern set its words must avoid."""
-
-    shape: Shape
-    patterns: frozenset[Word] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "patterns", normalize_patterns(self.patterns))
 
 
 def contains_pattern(word: Word, pattern: Word) -> bool:

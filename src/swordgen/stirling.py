@@ -108,7 +108,7 @@ def _check_output(shape: Shape) -> None:
     """Raise SizeLimitError before materialising more words than the
     default cap.  The default and not a caller's cap: `verify --cap`
     bounds only the oracle, and still checks the whole loopless run."""
-    oracle._check_cap(shape, oracle.stirling_count(shape), None)
+    oracle._check_cap(shape, None, only_212=True)
 
 
 def stirling_sequence(shape: Shape) -> list[Word]:

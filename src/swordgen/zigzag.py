@@ -21,8 +21,7 @@ from typing import Iterable, Optional
 from . import oracle
 from .bumps import LEFT, RIGHT, maximum_jump
 from .greedy import parent_word
-from .oracle import Language
-from .patterns import LanguageSpec, normalize_patterns
+from .patterns import normalize_patterns
 from .words import Shape, Word
 
 Witness = tuple[Word, int, str, Word]
@@ -81,14 +80,7 @@ def closed_under_maximum_jumps(
 
 
 def semantic_zigzag(
-    spec: LanguageSpec, cap: int | None = None
+    shape: Shape, patterns=frozenset(), cap: int | None = None
 ) -> tuple[bool, Optional[Witness]]:
     """Enumerate the language and test zig-zag closure exhaustively."""
-    lang = oracle.language(spec.shape, spec.patterns, cap)
-    return closed_under_maximum_jumps(lang.words)
-
-
-def peakless_language(shape: Shape, cap: int | None = None) -> Language:
-    """The words avoiding 132, 231 and 121: contained in every zig-zag
-    language over the same shape."""
-    return oracle.language(shape, oracle.PEAKLESS_PATTERNS, cap)
+    return closed_under_maximum_jumps(oracle.language(shape, patterns, cap))

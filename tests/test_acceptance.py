@@ -14,6 +14,7 @@ from swordgen.bumps import BumpError, LEFT, RIGHT, apply_jump, classify_move
 from swordgen.cli import parse_and_dispatch
 from swordgen.greedy import generate_greedy, parent_shape, project_to_parent
 from swordgen.oracle import (
+    PEAKLESS_PATTERNS,
     all_shapes,
     count_kary_trees,
     k_catalan,
@@ -21,7 +22,7 @@ from swordgen.oracle import (
     multinomial,
     stirling_count,
 )
-from swordgen.patterns import LanguageSpec, contains_pattern, normalize_patterns
+from swordgen.patterns import contains_pattern, normalize_patterns
 from swordgen.stirling import generate_loopless, step_stats, stirling_sequence
 from swordgen.trees import (
     all_kary_trees,
@@ -34,7 +35,7 @@ from swordgen.trees import (
     word_from_inversion_vector,
 )
 from swordgen.words import make_shape
-from swordgen.zigzag import peakless_language, semantic_zigzag, syntactic_zigzag
+from swordgen.zigzag import semantic_zigzag, syntactic_zigzag
 
 TRACE_TABLE = [
     ["112333", "3", "2", "6", "3", "134", "000", "123", "---"],
@@ -161,7 +162,7 @@ def test_criterion_5_gray_property(capsys):
                 if not run.complete:
                     bad.append((shape.multiplicities, pats, "incomplete"))
                     continue
-                if len(run.words) != len(lang.words) or set(run.words) != lang.word_set():
+                if len(run.words) != len(lang) or set(run.words) != set(lang):
                     bad.append((shape.multiplicities, pats, "coverage"))
                     continue
                 for a, b in zip(run.words, run.words[1:]):
@@ -212,7 +213,7 @@ def test_criterion_6_counting_identities(capsys):
                 bad.append(("tree DP", k, m))
             shape = make_shape((k - 1,) * m)
             if multinomial(shape) <= 500_000:
-                got = len(language(shape, {"132", "121"}).words)
+                got = len(language(shape, {"132", "121"}))
                 if got != formula:
                     bad.append(("enumeration", k, m, got, formula))
                 tree_counts.append((k, m, got))
@@ -290,7 +291,7 @@ def test_criterion_8_parent_projection(capsys):
 
 def test_criterion_9_jump_invalidity(capsys):
     word = (1, 2, 3, 3, 3, 2)
-    members = language(make_shape((1, 2, 3)), {"212"}).word_set()
+    members = set(language(make_shape((1, 2, 3)), {"212"}))
     assert word in members
     legal = 0
     escapes = 0
@@ -329,13 +330,13 @@ def test_criterion_10_zigzag_checks(capsys):
             continue
         for total in range(1, 8):
             for shape in all_shapes(total):
-                closed, witness = semantic_zigzag(LanguageSpec(shape, pats))
+                closed, witness = semantic_zigzag(shape, pats)
                 if not closed:
                     bad.append((shape.multiplicities, pats, witness))
                     continue
                 verified += 1
-                peak = peakless_language(shape).word_set()
-                lang = language(shape, pats).word_set()
+                peak = set(language(shape, PEAKLESS_PATTERNS))
+                lang = set(language(shape, pats))
                 if not peak <= lang:
                     bad.append((shape.multiplicities, pats, "containment"))
     ok = not bad
@@ -374,7 +375,7 @@ def test_criterion_11_bijections(capsys):
             shape = make_shape((k - 1,) * m)
             formula = k_catalan(k, m)
             if multinomial(shape) <= 500_000:
-                words = language(shape, {"132", "121"}).words
+                words = language(shape, {"132", "121"})
                 if len(words) != formula:
                     bad.append(("kary count", k, m))
                 for w in words:

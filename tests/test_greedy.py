@@ -24,7 +24,7 @@ from swordgen.greedy import (
 from swordgen.oracle import SizeLimitError, all_shapes, all_swords, language, multinomial
 from swordgen.patterns import avoids_all, normalize_patterns
 from swordgen.stirling import loopless_run
-from swordgen.words import WordError, make_shape, nondecreasing_word
+from swordgen.words import WordError, make_shape, shape_of_word
 
 def words_of(run):
     return ["".join(map(str, w)) for w in run.words]
@@ -73,7 +73,7 @@ class TestEngineOptions:
             for shape in all_shapes(total):
                 run = generate_greedy(shape, {"212"})
                 assert run.complete, shape.multiplicities
-                assert set(run.words) == language(shape, {"212"}).word_set()
+                assert set(run.words) == set(language(shape, {"212"}))
 
     def test_closed_form_languages_are_not_listed(self, monkeypatch):
         # with a closed form for the size, candidates are tested directly;
@@ -216,7 +216,7 @@ class TestMoveReplay:
         # every recorded move replays through apply_bump, and each smaller
         # distance of the same block leaves the language
         run = generate_greedy(shape, patterns)
-        member = language(shape, patterns).word_set().__contains__
+        member = set(language(shape, patterns)).__contains__
         for k, mv in enumerate(run.moves):
             w = run.words[k]
             assert apply_bump(w, mv.rank, mv.dir, mv.distance) == (run.words[k + 1], mv)
@@ -280,7 +280,7 @@ class TestParentMachinery:
         for total in range(1, 8):
             for shape in all_shapes(total):
                 want: dict = {}
-                for w in language(shape, pats).words:
+                for w in language(shape, pats):
                     want.setdefault(parent_word(w), []).append(w)
                 for w2 in all_swords(parent_shape(shape)):
                     if w2 in want:
@@ -296,9 +296,9 @@ class TestParentMachinery:
     def test_parent_language_projection(self):
         shape = make_shape((2, 2))
         plang = parent_language(shape, {"212"})
-        assert plang.spec.shape.multiplicities == (2, 1)
+        assert {shape_of_word(w).multiplicities for w in plang} == {(2, 1)}
         child = language(shape, {"212"})
-        assert set(plang.words) == {parent_word(w) for w in child.words}
+        assert set(plang) == {parent_word(w) for w in child}
 
     def test_project_collapses_duplicates(self):
         run = generate_greedy(make_shape((2, 1, 3)), {"212"})

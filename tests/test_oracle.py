@@ -39,7 +39,7 @@ class TestEnumeration:
     def test_language_filters(self):
         shape = make_shape((2, 2))
         lang = language(shape, {"212"})
-        assert lang.words == ((1, 1, 2, 2), (1, 2, 2, 1), (2, 2, 1, 1))
+        assert lang == ((1, 1, 2, 2), (1, 2, 2, 1), (2, 2, 1, 1))
         assert (1, 2, 2, 1) in lang
         assert (2, 1, 1, 2) not in lang
         assert len(lang) == 3
@@ -49,20 +49,21 @@ class TestEnumeration:
         "pats", [frozenset(), STIRLING_PATTERNS, KCATALAN_PATTERNS, PEAKLESS_PATTERNS]
     )
     def test_language_against_reference_filter(self, mult, pats):
-        got = language(make_shape(mult), pats).words
+        got = language(make_shape(mult), pats)
         want = tuple(w for w in reference_words(mult) if avoids_all(w, pats))
         assert got == want
 
     def test_peakless_example(self):
         lang = language(make_shape((2, 2)), PEAKLESS_PATTERNS)
-        assert lang.words == ((1, 1, 2, 2), (2, 1, 1, 2), (2, 2, 1, 1))
+        assert lang == ((1, 1, 2, 2), (2, 1, 1, 2), (2, 2, 1, 1))
 
 
 class TestCounting:
     def test_multinomial(self):
         assert multinomial(make_shape((2, 1, 3))) == 60
         assert multinomial(make_shape((1, 1, 1, 1))) == 24
-        for mult in SMALL_SHAPES:
+        large = [(3000,), (1,) * 500, (2, 700, 5), (9, 1, 300, 4, 300)]
+        for mult in SMALL_SHAPES + large:
             n = sum(mult)
             want = math.factorial(n)
             for s in mult:
@@ -154,6 +155,16 @@ class TestCap:
             language(make_shape((1, 1, 1, 1)), cap=10)
         with pytest.raises(SizeLimitError):
             count_avoiding(make_shape((1,) * 8), frozenset(), cap=100)
+
+    @pytest.mark.parametrize("only_212", [False, True])
+    def test_cap_boundary(self, only_212):
+        # the check passes at exactly the language size and refuses below it
+        for n in range(1, 8):
+            for shape in all_shapes(n):
+                size = stirling_count(shape) if only_212 else multinomial(shape)
+                oracle._check_cap(shape, size, only_212)
+                with pytest.raises(SizeLimitError):
+                    oracle._check_cap(shape, size - 1, only_212)
 
     def test_cap_resolution(self, monkeypatch):
         assert resolve_cap(123) == 123

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from swordgen.patterns import (
     check_pattern,
-    LanguageSpec,
     PatternError,
     avoids_212,
     avoids_all,
@@ -98,9 +97,3 @@ class TestContainment:
 
     def test_pattern_longer_than_word(self):
         assert not contains_pattern((1, 2), (1, 2, 3))
-
-
-class TestLanguageSpec:
-    def test_normalizes_string_patterns(self):
-        spec = LanguageSpec(make_shape((2, 2)), {"212"})
-        assert spec.patterns == frozenset({(2, 1, 2)})

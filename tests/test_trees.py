@@ -33,7 +33,7 @@ PATHS = {
 
 def stirling_words(total):
     for shape in all_shapes(total):
-        yield from language(shape, {"212"}).words
+        yield from language(shape, {"212"})
 
 
 class TestSTree:
@@ -127,7 +127,7 @@ class TestInversionVector:
     def test_round_trip_identity(self):
         for total in range(1, 8):
             for shape in all_shapes(total):
-                for w in language(shape, {"212"}).words:
+                for w in language(shape, {"212"}):
                     assert word_from_inversion_vector(shape, inversion_vector(w)) == w
 
     def test_every_box_vector_is_hit(self):
@@ -186,7 +186,7 @@ class TestKTree:
     def test_word_round_trip(self, k):
         for m in range(1, 5):
             shape = make_shape((k - 1,) * m)
-            words = language(shape, {"132", "121"}).words
+            words = language(shape, {"132", "121"})
             trees = set()
             for w in words:
                 tree = kcatalan_word_to_tree(w, k)

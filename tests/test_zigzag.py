@@ -3,15 +3,10 @@ import itertools
 import pytest
 
 from swordgen.bumps import LEFT, maximum_jump
-from swordgen.oracle import all_shapes, language
-from swordgen.patterns import LanguageSpec, contains_pattern, normalize_patterns
+from swordgen.oracle import PEAKLESS_PATTERNS, all_shapes, language
+from swordgen.patterns import contains_pattern
 from swordgen.words import make_shape
-from swordgen.zigzag import (
-    closed_under_maximum_jumps,
-    peakless_language,
-    semantic_zigzag,
-    syntactic_zigzag,
-)
+from swordgen.zigzag import closed_under_maximum_jumps, semantic_zigzag, syntactic_zigzag
 
 ZIGZAG_SETS = [
     frozenset(),
@@ -57,7 +52,7 @@ class TestSyntactic:
 class TestClosure:
     def test_full_language_is_closed(self):
         for mult in [(2, 2), (1, 1, 1), (3, 1)]:
-            words = language(make_shape(mult), set()).words
+            words = language(make_shape(mult), set())
             assert closed_under_maximum_jumps(words) == (True, None)
 
     def test_vacuous_sets(self):
@@ -67,7 +62,7 @@ class TestClosure:
     def test_escape_produces_valid_witness(self):
         # drop a maximum-jump image from the full language: 231 sends its 3
         # to the back, so removing 213 must break closure somewhere
-        pool = set(language(make_shape((1, 1, 1)), set()).words) - {(2, 1, 3)}
+        pool = set(language(make_shape((1, 1, 1)), set())) - {(2, 1, 3)}
         ok, witness = closed_under_maximum_jumps(pool)
         assert not ok
         word, i, direction, result = witness
@@ -85,7 +80,7 @@ class TestClosure:
     def test_holes_off_the_jump_graph_stay_closed(self):
         # 121 is reachable only by non-maximum jumps, so its removal from
         # the full language leaves every closure obligation satisfied
-        pool = set(language(make_shape((2, 1)), set()).words) - {(1, 2, 1)}
+        pool = set(language(make_shape((2, 1)), set())) - {(1, 2, 1)}
         assert closed_under_maximum_jumps(pool) == (True, None)
 
     def test_only_real_jumps_create_obligations(self):
@@ -97,20 +92,18 @@ class TestClosure:
 
 class TestSemantic:
     def test_permutations_avoiding_231(self):
-        spec = LanguageSpec(make_shape((1, 1, 1)), normalize_patterns({"231"}))
-        assert semantic_zigzag(spec) == (True, None)
+        assert semantic_zigzag(make_shape((1, 1, 1)), {"231"}) == (True, None)
 
     def test_full_language(self):
-        spec = LanguageSpec(make_shape((2, 2)), frozenset())
-        assert semantic_zigzag(spec) == (True, None)
+        assert semantic_zigzag(make_shape((2, 2))) == (True, None)
 
     def test_stirling_words_are_not_zigzag(self):
-        spec = LanguageSpec(make_shape((1, 2, 3)), normalize_patterns({"212"}))
-        ok, witness = semantic_zigzag(spec)
+        shape, pats = make_shape((1, 2, 3)), {"212"}
+        ok, witness = semantic_zigzag(shape, pats)
         assert not ok
         word, i, direction, result = witness
         assert word == (1, 2, 3, 3, 3, 2)
-        members = language(spec.shape, spec.patterns).word_set()
+        members = set(language(shape, pats))
         assert word in members
         assert maximum_jump(word, i, direction) == result
         assert result not in members
@@ -119,26 +112,26 @@ class TestSemantic:
     def test_non_top_jumps_carry_no_obligation(self):
         # a lower digit of 121312 can escape the 12121-avoiders, but only
         # the rightmost largest digit binds, so the language stays zig-zag
-        spec = LanguageSpec(make_shape((3, 2, 1)), normalize_patterns({"12121"}))
-        members = language(spec.shape, spec.patterns).word_set()
+        shape, pats = make_shape((3, 2, 1)), {"12121"}
+        members = set(language(shape, pats))
         word = (1, 2, 1, 3, 1, 2)
         assert word in members
         escape = maximum_jump(word, 6, LEFT)
         assert escape == (1, 2, 1, 3, 2, 1)
         assert escape not in members
-        assert semantic_zigzag(spec) == (True, None)
+        assert semantic_zigzag(shape, pats) == (True, None)
 
     @pytest.mark.parametrize("patterns", ZIGZAG_SETS)
     def test_syntactic_implies_semantic_small(self, patterns):
         for total in range(1, 7):
             for shape in all_shapes(total):
-                ok, witness = semantic_zigzag(LanguageSpec(shape, patterns))
+                ok, witness = semantic_zigzag(shape, patterns)
                 assert ok, (shape.multiplicities, patterns, witness)
 
     def test_closed_under_intersection_and_union(self):
         shape = make_shape((1, 1, 1, 1))
-        first = set(language(shape, {"231"}).words)
-        second = set(language(shape, {"132", "121"}).words)
+        first = set(language(shape, {"231"}))
+        second = set(language(shape, {"132", "121"}))
         for pool in (first & second, first | second):
             assert closed_under_maximum_jumps(pool) == (True, None)
 
@@ -147,19 +140,19 @@ class TestPeakless:
     def test_known_languages(self):
         assert [
             "".join(map(str, w))
-            for w in peakless_language(make_shape((2, 2))).words
+            for w in language(make_shape((2, 2)), PEAKLESS_PATTERNS)
         ] == ["1122", "2112", "2211"]
-        assert peakless_language(make_shape((1, 1))).words == ((1, 2), (2, 1))
+        assert language(make_shape((1, 1)), PEAKLESS_PATTERNS) == ((1, 2), (2, 1))
 
     @pytest.mark.parametrize("patterns", ZIGZAG_SETS)
     def test_contained_in_verified_zigzag_languages(self, patterns):
         for total in range(1, 6):
             for shape in all_shapes(total):
-                ok, _ = semantic_zigzag(LanguageSpec(shape, patterns))
+                ok, _ = semantic_zigzag(shape, patterns)
                 if not ok:
                     continue
-                lang = language(shape, patterns).word_set()
-                peak = peakless_language(shape).word_set()
+                lang = set(language(shape, patterns))
+                peak = set(language(shape, PEAKLESS_PATTERNS))
                 assert peak <= lang, (shape.multiplicities, patterns)
 
     def test_matches_direct_triple_filter(self):
@@ -168,10 +161,10 @@ class TestPeakless:
             shape = make_shape(mult)
             want = [
                 w
-                for w in language(shape, set()).words
+                for w in language(shape, set())
                 if not any(
                     contains_pattern(w, pat)
                     for pat in ((1, 3, 2), (2, 3, 1), (1, 2, 1))
                 )
             ]
-            assert list(peakless_language(shape).words) == want
+            assert list(language(shape, PEAKLESS_PATTERNS)) == want
