@@ -1,10 +1,10 @@
 """
 Command-line frontend.
 
-Subcommands: generate, verify, count, trace, zigzag, trees, path, bench.
+Subcommands: generate, verify, count, trace, zigzag, trees, path.
 Exit codes: 0 success; 1 a negative verdict (failed verification, zig-zag
 counterexample, incomplete run under --expect-complete); 2 malformed
-input; 3 enumeration size limit exceeded.
+input; 3 enumeration size limit exceeded; 141 the reader closed stdout.
 
 Words, shapes and patterns are read in their compact digit forms
 ("--shape 2,1,3", "--shape 2^8", "--avoid 212,132", "--start 112333").
@@ -16,14 +16,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
-import time
 
 from . import greedy, oracle, stirling, trees, zigzag
 from .greedy import GrayCodeRun, run_to_payload
 from .oracle import SizeLimitError
 from .patterns import normalize_patterns
-from .words import format_word, parse_shape, parse_word
+from .words import Shape, format_word, parse_shape, parse_word
 
 
 def _parse_avoid(text: str | None):
@@ -45,8 +45,8 @@ def _print_json(payload: dict) -> None:
 # --- subcommands ------------------------------------------------------------
 
 
-def _build_run(args) -> tuple[GrayCodeRun, str]:
-    """The run that `generate` prints and `verify` checks, and its engine:
+def _choose_engine(args) -> tuple[Shape, frozenset, str]:
+    """The shape, patterns and engine of a `generate` or `verify` call:
     loopless by default for {212}, greedy otherwise.  The loopless engine
     refuses other pattern sets; only the greedy engine takes --start."""
     shape = parse_shape(args.shape)
@@ -57,21 +57,33 @@ def _build_run(args) -> tuple[GrayCodeRun, str]:
         raise ValueError("the loopless engine only generates the 212-avoiding language")
     if args.start is not None and engine != "greedy":
         raise ValueError("only the greedy engine honors --start")
+    return shape, pats, engine
+
+
+def _build_run(args, shape, pats, engine: str) -> GrayCodeRun:
+    """The run that `generate` prints and `verify` checks."""
     if engine == "loopless":
-        return stirling.loopless_run(shape), engine
+        return stirling.loopless_run(shape)
     start = parse_word(args.start) if args.start is not None else None
-    return greedy.generate_greedy(shape, pats, start=start, cap=args.cap), engine
+    return greedy.generate_greedy(shape, pats, start=start, cap=args.cap)
 
 
 def _cmd_generate(args) -> int:
-    run, engine = _build_run(args)
+    shape, pats, engine = _choose_engine(args)
+    if engine == "loopless" and args.format != "dot":
+        # a loopless run is always complete, and streams as it goes
+        (stirling.write_json if args.format == "json" else stirling.write_text)(shape)
+        return 0
+    run = _build_run(args, shape, pats, engine)
     if args.format == "json":
         _print_json(run_to_payload(run, engine))
     elif args.format == "dot":
         print(trees.export_dot(run), end="")
     else:
+        add, flush = stirling.chunked_writer(format_word, stirling.text_lines)
         for w in run.words:
-            print(format_word(w))
+            add(w)
+        flush()
     if args.expect_complete and not run.complete:
         print("run is incomplete", file=sys.stderr)
         return 1
@@ -79,7 +91,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    run, _engine = _build_run(args)
+    run = _build_run(args, *_choose_engine(args))
     report = greedy.verify_gray_code(run, args.cap)
     print(f"words: {len(run.words)}")
     print(f"complete: {run.complete}")
@@ -100,6 +112,10 @@ def _cmd_count(args) -> int:
         count = oracle.count_avoiding(shape, pats, args.cap)
     elif (count := oracle.formula_count(shape, pats)) is None:
         raise ValueError(f"no closed formula for patterns {sorted(pats)} on this shape")
+    # int-to-str refuses counts longer than this (0: unlimited, or before 3.11)
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    if digits and count >= 10**digits:
+        raise SizeLimitError(f"the count has more than {digits} digits, the most an int prints")
     print(count)
     return 0
 
@@ -213,19 +229,6 @@ def _cmd_path(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    shape = parse_shape(args.shape)
-    expected = oracle.stirling_count(shape)
-    print(f"shape={format_word(shape.multiplicities)} formula={expected}")
-    begin = time.perf_counter()
-    count = stirling.generate_loopless(shape)
-    elapsed = time.perf_counter() - begin
-    rate = count / elapsed if elapsed > 0 else float("inf")
-    agree = "ok" if count == expected else "MISMATCH"
-    print(f"words={count} seconds={elapsed:.6f} words_per_sec={rate:.0f} {agree}")
-    return 0 if count == expected else 1
-
-
 # --- parser -----------------------------------------------------------------
 
 
@@ -275,8 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("path", _cmd_path, "inversion-vector path through the box", cap=False)
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
 
-    add("bench", _cmd_bench, "time the loopless counter", cap=False)
-
     return parser
 
 
@@ -297,7 +298,16 @@ def parse_and_dispatch(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(parse_and_dispatch(sys.argv[1:]))
+    try:
+        code = parse_and_dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (`swordgen generate ... | head`): stop without a
+        # traceback, and point stdout at devnull so that the flush at exit
+        # does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, as a shell reports a process that signal ended
+    sys.exit(code)
 
 
 if __name__ == "__main__":

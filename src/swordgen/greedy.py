@@ -120,7 +120,9 @@ def _bump_blocks(shape: Shape, w: Word):
     A rightward block runs from its anchor to the end of the anchor's run,
     so its leading rank is the rank of that run's last copy; a leftward
     block ends at its anchor, whose rank leads.  Ranks descend with the
-    value and, within a value, from right to left.
+    value and, within a value, from right to left, so a run's last copy
+    comes first and the walk over its rightward blocks finds the run's
+    start for the copies after it: each run is walked once.
     """
     n = len(w)
     for v in range(shape.m, 0, -1):
@@ -139,10 +141,8 @@ def _bump_blocks(shape: Shape, w: Word):
                     if lo == 1 or w[lo - 2] != v:
                         break
                     lo -= 1
-            lo = hi
-            while lo > 1 and w[lo - 2] == v:
-                lo -= 1
-            yield lead, LEFT, lo, hi
+                start = lo
+            yield lead, LEFT, start, hi
             lead -= 1
 
 

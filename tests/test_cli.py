@@ -1,18 +1,25 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import swordgen
+from swordgen import stirling
 from swordgen.cli import parse_and_dispatch
-from swordgen.greedy import run_from_payload
-from swordgen.oracle import multinomial, stirling_count
+from swordgen.greedy import generate_greedy, run_from_payload, run_to_payload
+from swordgen.oracle import all_shapes, multinomial, stirling_count
 from swordgen.trees import all_kary_trees
-from swordgen.words import make_shape
+from swordgen.words import format_shape, format_word, make_shape
+
+SRC = str(Path(swordgen.__file__).resolve().parents[1])
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +114,132 @@ class TestGenerate:
         assert "--start" in err
 
 
+class Stop(Exception):
+    """Ends a stream early, as a reader that has seen enough would."""
+
+
+class Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+class TestStream:
+    def test_stream_equals_the_materialised_run(self, capsys):
+        for n in range(1, 9):
+            for shape in all_shapes(n):
+                argv = ("generate", "--shape", format_shape(shape), "--avoid", "212")
+                run = stirling.loopless_run(shape)
+                code, out, _ = run_cli(capsys, *argv)
+                assert code == 0
+                assert out == "".join(format_word(w) + "\n" for w in run.words)
+                code, out, _ = run_cli(capsys, *argv, "--format", "json")
+                assert code == 0
+                assert out == json.dumps(run_to_payload(run, "loopless")) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_engine_flag_gives_the_same_bytes(self, capsys, fmt):
+        for shape in all_shapes(6):
+            argv = ("generate", "--shape", format_shape(shape), "--format", fmt)
+            _, default, _ = run_cli(capsys, *argv, "--avoid", "212")
+            _, loopless, _ = run_cli(capsys, *argv, "--engine", "loopless")
+            assert default == loopless
+
+    def test_comma_form_on_a_prefix(self, monkeypatch):
+        # 10! words with m = 10: the first chunk is compared, then the
+        # stream is stopped
+        writes = []
+
+        def write(text):
+            writes.append(text)
+            raise Stop
+
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=write))
+        with pytest.raises(Stop):
+            parse_and_dispatch(["generate", "--shape", "1^10", "--avoid", "212"])
+        lines = writes[0].splitlines()
+        assert len(lines) == stirling.CHUNK
+        expected = []
+
+        def visit(perm):
+            if len(expected) == len(lines):
+                raise Stop
+            expected.append(format_word(perm))
+
+        with pytest.raises(Stop):
+            stirling.generate_loopless(make_shape((1,) * 10), visit)
+        assert lines == expected
+        assert lines[0] == "1,2,3,4,5,6,7,8,9,10"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_nothing_is_materialised(self, capsys, monkeypatch, fmt):
+        def refuse(shape):
+            raise AssertionError("the loopless stream built the whole order")
+
+        monkeypatch.setattr(stirling, "loopless_run", refuse)
+        monkeypatch.setattr(stirling, "stirling_sequence", refuse)
+        code, out, _ = run_cli(
+            capsys, "generate", "--shape", "2,1,3", "--avoid", "212", "--format", fmt
+        )
+        assert code == 0
+        assert out.startswith("112333\n" if fmt == "text" else '{"format": 1,')
+
+    def test_json_memory_stays_flat(self):
+        # the materialised run and its 14.9 MB payload peaked at 117 MB
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(Discard()):
+                code = parse_and_dispatch(
+                    ["generate", "--shape", "2^7", "--avoid", "212", "--format", "json"]
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4_000_000
+
+    @pytest.mark.parametrize(
+        "argv, words",
+        [(("2^6", "--avoid", "212"), 10395), (("1^7",), 5040)],
+        ids=["loopless", "greedy"],
+    )
+    def test_one_write_per_chunk(self, monkeypatch, argv, words):
+        writes = []
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+        assert parse_and_dispatch(["generate", "--shape", *argv]) == 0
+        chunk = stirling.CHUNK
+        full, rest = divmod(words, chunk)
+        assert [text.count("\n") for text in writes] == [chunk] * full + [rest]
+        assert all(text.endswith("\n") for text in writes)
+
+    def test_greedy_text_is_the_run(self, capsys):
+        for n in range(1, 7):
+            for shape in all_shapes(n):
+                for avoid in ("", "231", "12121", "132,121", "132,231,121"):
+                    run = generate_greedy(shape, avoid.split(",") if avoid else ())
+                    _, out, _ = run_cli(
+                        capsys, "generate", "--shape", format_shape(shape), "--avoid", avoid
+                    )
+                    assert out == "".join(format_word(w) + "\n" for w in run.words)
+
+    def test_closed_pipe_ends_quietly(self):
+        # 2,027,025 words, but the reader leaves after the first line
+        begin = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "swordgen.cli", "generate", "--shape", "2^8", "--avoid", "212"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+        assert time.perf_counter() - begin < 2.0
+        assert first == b"1122334455667788\n"
+        assert code == 141
+        assert b"Traceback" not in err
+
+
 class TestBadInput:
     def test_bad_shape(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--shape", "0,1")
@@ -142,7 +275,7 @@ class TestBadInput:
         assert out == ""
         assert "--cap" in err and "-1" in err
 
-    @pytest.mark.parametrize("command", ["trace", "path", "bench"])
+    @pytest.mark.parametrize("command", ["trace", "path"])
     def test_cap_only_where_it_is_read(self, capsys, command):
         # these commands never consult the oracle's cap, so they refuse the flag
         code, out, err = run_cli(capsys, command, "--shape", "2,1", "--cap", "0")
@@ -260,6 +393,16 @@ class TestCount:
         )
         assert code == 0 and int(out) == 12
 
+    def test_formula_count_is_bounded_by_its_digits(self, capsys):
+        # 1700! has 4,755 digits, more than an int prints
+        begin = time.perf_counter()
+        code, out, err = run_cli(capsys, "count", "--shape", "1^1700", "--method", "formula")
+        assert time.perf_counter() - begin < 1.0
+        assert code == 3 and out == ""
+        assert "error: the count has more than 4300 digits" in err
+        code, out, _ = run_cli(capsys, "count", "--shape", "1^1000", "--method", "formula")
+        assert code == 0 and len(out.strip()) == 2568
+
     def test_formula_needs_known_patterns(self, capsys):
         code, _, err = run_cli(
             capsys, "count", "--shape", "2,2", "--avoid", "231",
@@ -368,24 +511,9 @@ class TestTreesAndPath:
         assert out.count(" -> ") == 5
 
 
-class TestBench:
-    def test_reports(self, capsys):
-        code, out, _ = run_cli(capsys, "bench", "--shape", "2,1,3")
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "shape=213 formula=12"
-        fields = dict(
-            part.split("=", 1) for part in lines[1].split() if "=" in part
-        )
-        assert int(fields["words"]) == 12
-        assert float(fields["seconds"]) >= 0
-        assert lines[1].endswith("ok")
-
-
 class TestImport:
     def test_import_leaves_numpy_out(self):
-        src = str(Path(swordgen.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
+        env = dict(os.environ, PYTHONPATH=SRC)
         code = "import swordgen, sys; print('numpy' in sys.modules)"
         proc = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
