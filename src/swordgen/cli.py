@@ -14,16 +14,26 @@ JSON payloads carry "format": 1 and round-trip through the library.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
+import functools
 import json
 import os
 import sys
 
 from . import greedy, oracle, stirling, trees, zigzag
-from .greedy import GrayCodeRun, run_to_payload
+from .greedy import EXHAUSTED, GrayCodeRun, run_to_payload
 from .oracle import SizeLimitError
 from .patterns import normalize_patterns
 from .words import Shape, format_word, parse_shape, parse_word
+
+# items per write: the first write comes after one chunk, and no more than
+# one chunk of output is held at a time
+CHUNK = 4096
+# a word of digits 1..9 is its bytes, translated to ASCII a chunk at a time
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+# where the word and move lists sit in the payload of a run without them
+_LISTS = '"words": [], "moves": []'
 
 
 def _parse_avoid(text: str | None):
@@ -38,8 +48,63 @@ def _cap(text: str) -> int:
     return int(text)
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload))
+# --- output -----------------------------------------------------------------
+# A feed hands items to the visitor it is given: the loopless engine's feeds
+# push from the loop as it runs.
+
+
+def _each(items):
+    """The feed of a finished sequence."""
+    return lambda visit: collections.deque(map(visit, items), maxlen=0)
+
+
+def _write_chunks(feed, convert, render, sep: str = "") -> None:
+    """Run `feed` with a visitor that keeps `convert(item)` of each item;
+    every CHUNK kept items, and the rest at the end, go to `sys.stdout` in
+    one write as `render(kept)`, writes after the first led by `sep`.
+    `sys.stdout` is looked up at each write."""
+    kept: list = []
+    lead = ""
+
+    def flush() -> None:
+        nonlocal lead
+        if kept:
+            sys.stdout.write(lead + render(kept))
+            lead = sep
+            kept.clear()
+
+    def add(item) -> None:
+        kept.append(convert(item))
+        if len(kept) == CHUNK:
+            flush()
+
+    feed(add)
+    flush()
+
+
+def _lines(kept: list[str]) -> str:
+    return "\n".join(kept) + "\n"
+
+
+def _digit_lines(kept: list[bytes]) -> str:
+    return (b"\n".join(kept) + b"\n").translate(_DIGITS).decode()
+
+
+def _move_json(move) -> str:
+    return json.dumps(move.to_json())
+
+
+def _write_run_json(run: GrayCodeRun, engine: str, words, moves) -> None:
+    """`json.dumps(run_to_payload(run, engine))` and a newline, with the
+    words (lists of ints) and the moves (their `_move_json`) taken from
+    their feeds instead of from `run`."""
+    empty = dataclasses.replace(run, words=(), moves=())
+    head, tail = json.dumps(run_to_payload(empty, engine)).split(_LISTS)
+    sys.stdout.write(head + '"words": [')
+    _write_chunks(words, str, ", ".join, ", ")  # a list of ints prints as JSON
+    sys.stdout.write('], "moves": [')
+    _write_chunks(moves, str, ", ".join, ", ")
+    sys.stdout.write("]" + tail + "\n")
 
 
 # --- subcommands ------------------------------------------------------------
@@ -71,19 +136,24 @@ def _build_run(args, shape, pats, engine: str) -> GrayCodeRun:
 def _cmd_generate(args) -> int:
     shape, pats, engine = _choose_engine(args)
     if engine == "loopless" and args.format != "dot":
-        # a loopless run is always complete, and streams as it goes
-        (stirling.write_json if args.format == "json" else stirling.write_text)(shape)
-        return 0
-    run = _build_run(args, shape, pats, engine)
+        # a loopless run is always complete; its words and moves come from
+        # the loop as it runs
+        stirling._check_output(shape)
+        run = GrayCodeRun(shape, oracle.STIRLING_PATTERNS, (), (), True, EXHAUSTED)
+        words = functools.partial(stirling.generate_loopless, shape)
+        moves = functools.partial(stirling.loopless_moves, shape, _move_json)
+    else:
+        run = _build_run(args, shape, pats, engine)
+        # words as lists, as the loop gives them
+        words, moves = _each(map(list, run.words)), _each(map(_move_json, run.moves))
     if args.format == "json":
-        _print_json(run_to_payload(run, engine))
+        _write_run_json(run, engine, words, moves)
     elif args.format == "dot":
         print(trees.export_dot(run), end="")
+    elif shape.m <= 9:  # one `format_word` line per word
+        _write_chunks(words, bytes, _digit_lines)
     else:
-        add, flush = stirling.chunked_writer(format_word, stirling.text_lines)
-        for w in run.words:
-            add(w)
-        flush()
+        _write_chunks(words, format_word, _lines)
     if args.expect_complete and not run.complete:
         print("run is incomplete", file=sys.stderr)
         return 1
@@ -112,10 +182,6 @@ def _cmd_count(args) -> int:
         count = oracle.count_avoiding(shape, pats, args.cap)
     elif (count := oracle.formula_count(shape, pats)) is None:
         raise ValueError(f"no closed formula for patterns {sorted(pats)} on this shape")
-    # int-to-str refuses counts longer than this (0: unlimited, or before 3.11)
-    digits = getattr(sys, "get_int_max_str_digits", int)()
-    if digits and count >= 10**digits:
-        raise SizeLimitError(f"the count has more than {digits} digits, the most an int prints")
     print(count)
     return 0
 
@@ -123,8 +189,6 @@ def _cmd_count(args) -> int:
 def _trace_cell(name: str, value) -> str:
     if value is None:
         return "-"
-    if name == "perm":
-        return format_word(value)
     if name == "dirs":
         return "".join("+" if d > 0 else "-" for d in value)
     if isinstance(value, tuple):
@@ -138,17 +202,10 @@ def _cmd_trace(args) -> int:
     names = [f.name for f in dataclasses.fields(stirling.TraceRow)]
     if args.format == "json":
         # tuples serialise as JSON arrays
-        _print_json(
-            {
-                "format": 1,
-                "shape": list(shape.multiplicities),
-                "rows": [{name: getattr(r, name) for name in names} for r in rows],
-            }
-        )
+        table = [{name: getattr(r, name) for name in names} for r in rows]
+        print(json.dumps({"format": 1, "shape": list(shape.multiplicities), "rows": table}))
         return 0
-    table = [names]
-    for r in rows:
-        table.append([_trace_cell(name, getattr(r, name)) for name in names])
+    table = [names] + [[_trace_cell(name, getattr(r, name)) for name in names] for r in rows]
     widths = [max(len(row[c]) for row in table) for c in range(len(table[0]))]
     for row in table:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
@@ -157,10 +214,10 @@ def _cmd_trace(args) -> int:
 
 def _cmd_zigzag(args) -> int:
     pats = _parse_avoid(args.avoid)
-    if args.mode in ("semantic", "both"):
-        if args.shape is None:
-            raise ValueError(f"--mode {args.mode} needs --shape")
+    if args.shape is not None:
         shape = parse_shape(args.shape)
+    elif args.mode != "syntactic":
+        raise ValueError(f"--mode {args.mode} needs --shape")
     negative = False
     if args.mode in ("syntactic", "both"):
         verdict = zigzag.syntactic_zigzag(pats)
@@ -181,16 +238,16 @@ def _cmd_zigzag(args) -> int:
 
 def _cmd_trees(args) -> int:
     shape = parse_shape(args.shape)
+    # the trees are made as they are written: the text form never holds them all
     if args.kind == "stirling":
         words = stirling.stirling_sequence(shape)
-        forest = [trees.stirling_word_to_tree(w) for w in words]
+        forest = map(trees.stirling_word_to_tree, words)
     else:
         if len(set(shape.multiplicities)) != 1:
             raise ValueError("--kind kary needs a shape with equal multiplicities")
         k = shape.multiplicities[0] + 1
-        run = greedy.generate_greedy(shape, oracle.KCATALAN_PATTERNS, cap=args.cap)
-        words = list(run.words)
-        forest = [trees.kcatalan_word_to_tree(w, k) for w in words]
+        words = greedy.generate_greedy(shape, oracle.KCATALAN_PATTERNS, cap=args.cap).words
+        forest = (trees.kcatalan_word_to_tree(w, k) for w in words)
     if args.format == "json":
         payload = {
             "format": 1,
@@ -201,12 +258,11 @@ def _cmd_trees(args) -> int:
         }
         if args.kind == "kary":
             payload["k"] = k
-        _print_json(payload)
+        print(json.dumps(payload))
     elif args.format == "dot":
-        print(trees.export_dot(forest), end="")
+        print(trees.export_dot(list(forest)), end="")
     else:
-        for t in forest:
-            print(t)
+        _write_chunks(_each(forest), str, _lines)
     return 0
 
 
@@ -214,18 +270,12 @@ def _cmd_path(args) -> int:
     shape = parse_shape(args.shape)
     vectors = trees.hamilton_path(shape)
     if args.format == "json":
-        _print_json(
-            {
-                "format": 1,
-                "shape": list(shape.multiplicities),
-                "vectors": [list(v) for v in vectors],
-            }
-        )
+        table = [list(v) for v in vectors]
+        print(json.dumps({"format": 1, "shape": list(shape.multiplicities), "vectors": table}))
     elif args.format == "dot":
         print(trees.export_dot(vectors), end="")
     else:
-        for v in vectors:
-            print(",".join(str(x) for x in v))
+        _write_chunks(_each(vectors), lambda v: ",".join(map(str, v)), _lines)
     return 0
 
 

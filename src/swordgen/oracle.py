@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from functools import lru_cache
 from typing import Callable
 
@@ -76,19 +77,27 @@ def k_catalan(k: int, m: int) -> int:
 def formula_count(shape: Shape, patterns: frozenset[Word]) -> int | None:
     """|L| in closed form for a normalised pattern set, None without one:
     the multinomial for no patterns, the product formula for {212}, and
-    k_catalan(s + 1, m) for {132, 121} when every multiplicity is s.  No
-    cap check: a formula allocates nothing.
+    k_catalan(s + 1, m) for {132, 121} when every multiplicity is s.  A
+    count with more digits than an int prints raises SizeLimitError before
+    it is computed.
 
     >>> formula_count(make_shape((2, 2, 2)), KCATALAN_PATTERNS)
     12
     """
-    if not patterns:
-        return multinomial(shape)
-    if patterns == STIRLING_PATTERNS:
-        return stirling_count(shape)
-    if patterns == KCATALAN_PATTERNS and len(set(shape.multiplicities)) == 1:
-        return k_catalan(shape.multiplicities[0] + 1, shape.m)
-    return None
+    if not patterns or patterns == STIRLING_PATTERNS:
+        factors, divisor = _size_factors(shape, bool(patterns)), 1
+    elif patterns == KCATALAN_PATTERNS and len(set(shape.multiplicities)) == 1:
+        # k_catalan(s + 1, m) = C((s + 1)m, m) / (sm + 1), exactly
+        top = shape.multiplicities[0] * shape.m
+        factors, divisor = [(shape.m, top)], top + 1
+    else:
+        return None
+    # int-to-str refuses counts longer than this (0: unlimited, or before 3.11)
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    size = _product(factors, 10**digits * divisor - 1 if digits else math.inf)
+    if size is None:
+        raise SizeLimitError(f"the count has more than {digits} digits, the most an int prints")
+    return size // divisor
 
 
 @lru_cache(maxsize=None)
@@ -110,25 +119,32 @@ def count_kary_trees(k: int, m: int) -> int:
     return spread(k, m - 1)
 
 
-def _size_steps(shape: Shape, only_212: bool):
-    # 1, then the size built up one small factor at a time: the product of
-    # C(t_v + s_v, s_v), or of t_v + 1 for {212}.  Every partial product is
-    # an integer and none is smaller than the one before.
-    size = 1
-    yield size
+def _size_factors(shape: Shape, only_212: bool):
+    # (k, top) pairs whose C(top + k, k) multiply to the number of words:
+    # C(t_v + s_v, s_v), or t_v + 1 = C(t_v + 1, 1) for {212}
     for t, s in zip(shape.prefix, shape.multiplicities):
-        k, top = (1, t) if only_212 else (min(s, t), max(s, t))
+        yield (1, t) if only_212 else (min(s, t), max(s, t))
+
+
+def _product(factors, limit) -> int | None:
+    """The product of C(top + k, k) over the (k, top) pairs, or None when it
+    exceeds `limit`, found at once for a huge product: it is multiplied up
+    one small factor at a time, every partial product an integer no smaller
+    than the one before, and only until it passes the limit."""
+    size = 1
+    for k, top in factors:
         for i in range(1, k + 1):
+            if size > limit:
+                return None
             size = size * (top + i) // i
-            yield size
+    return None if size > limit else size
 
 
 def _check_cap(shape: Shape, cap: int | None, only_212: bool = False) -> None:
     """Raise SizeLimitError when the shape has more words (212-avoiding
-    words with `only_212`) than the cap.  The size is multiplied up only
-    until it passes the cap, so a huge shape is refused at once."""
+    words with `only_212`) than the cap, found without counting them all."""
     limit = resolve_cap(cap)
-    if any(size > limit for size in _size_steps(shape, only_212)):
+    if _product(_size_factors(shape, only_212), limit) is None:
         raise SizeLimitError(
             f"shape with n={shape.n}, m={shape.m} has more "
             f"{'212-avoiding words' if only_212 else 'words'} than the cap of {limit}"

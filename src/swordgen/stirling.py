@@ -10,10 +10,9 @@ regardless of word length.  Every visited word keeps the copies of each
 value adjacent-or-separated only by smaller digits, which is exactly
 avoidance of 212.
 
-`_loopless` is the one implementation of the loop: it counts, streams,
-and produces the per-visit variable trace.  `write_text` and `write_json`
-stream the `generate` output from it a chunk at a time, so the first
-line comes after one chunk and memory does not grow with the output.
+`_loopless` is the one implementation of the loop: it counts, feeds
+the words (`generate_loopless`) or the moves (`loopless_moves`) to a
+consumer as it runs, and produces the per-visit variable trace.
 `step_stats` traces that same loop and counts the lines each pass runs;
 like any line count, it does not see work hidden inside one line, such
 as a call or a slice.
@@ -22,23 +21,15 @@ as a call or a slice.
 from __future__ import annotations
 
 import ast
-import functools
 import inspect
-import json
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import oracle
 from .bumps import LEFT, RIGHT, BumpMove
-from .greedy import EXHAUSTED, GrayCodeRun, run_to_payload
-from .words import Shape, Word, format_word, make_shape, nondecreasing_word
-
-# items per write: the first write comes after one chunk, and no more than
-# one chunk of output is held at a time
-CHUNK = 4096
-# a word of digits 1..9 is its bytes, translated to ASCII a chunk at a time
-_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+from .greedy import EXHAUSTED, GrayCodeRun
+from .words import Shape, Word, make_shape, nondecreasing_word
 
 
 def _initial_state(shape: Shape):
@@ -167,77 +158,25 @@ def loopless_run(shape: Shape) -> GrayCodeRun:
     )
 
 
-def chunked_writer(convert, render, sep: str = ""):
-    """(add, flush) for a stream of items: `add` keeps `convert(item)`, and
-    every CHUNK of them, and the rest at `flush`, go to `sys.stdout` in one
-    write as `render(kept)`, chunks after the first led by `sep`.
-    `sys.stdout` is looked up at each write."""
-    kept: list = []
-    lead = ""
-
-    def flush() -> None:
-        nonlocal lead
-        if kept:
-            sys.stdout.write(lead + render(kept))
-            lead = sep
-            kept.clear()
-
-    def add(item) -> None:
-        kept.append(convert(item))
-        if len(kept) == CHUNK:
-            flush()
-
-    return add, flush
-
-
-def text_lines(lines: list[str]) -> str:
-    return "\n".join(lines) + "\n"
-
-
-def write_text(shape: Shape) -> None:
-    """Write the visit order to stdout, one `format_word` line per word,
-    while the loop runs."""
-    _check_output(shape)
-    if shape.m <= 9:
-        add, flush = chunked_writer(
-            bytes, lambda kept: (b"\n".join(kept) + b"\n").translate(_DIGITS).decode()
-        )
-    else:
-        add, flush = chunked_writer(format_word, text_lines)
-    generate_loopless(shape, add)
-    flush()
-
-
-def write_json(shape: Shape) -> None:
-    """Write `json.dumps(run_to_payload(loopless_run(shape), "loopless"))`
-    and a newline without building the run: the words come from the loop,
-    and the moves, which follow them, from a second pass."""
-    _check_output(shape)
-    # the payload of a run without words or moves, split around their lists
-    empty = GrayCodeRun(shape, oracle.STIRLING_PATTERNS, (), (), True, EXHAUSTED)
-    head, middle, tail = json.dumps(run_to_payload(empty, "loopless")).split("[]")
-    sys.stdout.write(head + "[")
-    add, flush = chunked_writer(str, ", ".join, ", ")  # a list of ints prints as JSON
-    generate_loopless(shape, add)
-    flush()
-    sys.stdout.write("]" + middle + "[")
+def loopless_moves(
+    shape: Shape, make: Callable[[BumpMove], object], visit: Callable[[object], None]
+) -> None:
+    """Feed `make(move)` for every move of the visit order to `visit`, in
+    O(1) per step.  A move depends only on (v, d, i), and there are at most
+    2mn of them, so `make` runs once per distinct move."""
     s = (0,) + shape.multiplicities
     t = (0,) + shape.prefix
-
-    @functools.lru_cache(maxsize=None)
-    def move(v: int, d: int, i: int) -> str:
-        # a move depends only on (v, d, i), and there are at most 2mn of them
-        return json.dumps(_move_from_state(s, t, v, d, i).to_json())
-
-    add, flush = chunked_writer(str, ", ".join, ", ")
+    made: dict[tuple[int, int, int], object] = {}
 
     def grab(perm, v, u, i, j, left, inv, fs, dirs):
         if u is not None:
-            add(move(v, dirs[v], i))
+            key = (v, dirs[v], i)
+            got = made.get(key)
+            if got is None:
+                got = made[key] = make(_move_from_state(s, t, *key))
+            visit(got)
 
     _loopless(shape, grab)
-    flush()
-    sys.stdout.write("]" + tail + "\n")
 
 
 @dataclass(frozen=True)
@@ -260,20 +199,9 @@ def trace(shape: Shape) -> list[TraceRow]:
     _check_output(shape)
     rows: list[TraceRow] = []
 
-    def grab(perm, v, u, i, j, left, inv, fs, dirs):
-        rows.append(
-            TraceRow(
-                perm=tuple(perm),
-                v=v,
-                u=u,
-                i=i,
-                j=j,
-                left=tuple(left[1:]),
-                inv=tuple(inv[1:]),
-                fs=tuple(fs[1:]),
-                dirs=tuple(dirs[1:]),
-            )
-        )
+    def grab(perm, v, u, i, j, *arrays):
+        # the arrays left, inv, fs and dirs, without their unused slot 0
+        rows.append(TraceRow(tuple(perm), v, u, i, j, *(tuple(a[1:]) for a in arrays)))
 
     _loopless(shape, grab)
     return rows

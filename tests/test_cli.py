@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import swordgen
-from swordgen import stirling
+from swordgen import cli, stirling
 from swordgen.cli import parse_and_dispatch
 from swordgen.greedy import generate_greedy, run_from_payload, run_to_payload
 from swordgen.oracle import all_shapes, multinomial, stirling_count
@@ -157,7 +157,7 @@ class TestStream:
         with pytest.raises(Stop):
             parse_and_dispatch(["generate", "--shape", "1^10", "--avoid", "212"])
         lines = writes[0].splitlines()
-        assert len(lines) == stirling.CHUNK
+        assert len(lines) == cli.CHUNK
         expected = []
 
         def visit(perm):
@@ -206,20 +206,35 @@ class TestStream:
         writes = []
         monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
         assert parse_and_dispatch(["generate", "--shape", *argv]) == 0
-        chunk = stirling.CHUNK
+        chunk = cli.CHUNK
         full, rest = divmod(words, chunk)
         assert [text.count("\n") for text in writes] == [chunk] * full + [rest]
         assert all(text.endswith("\n") for text in writes)
 
     def test_greedy_text_is_the_run(self, capsys):
+        # no patterns gives "patterns": [], and a one-word shape "moves": []
         for n in range(1, 7):
             for shape in all_shapes(n):
                 for avoid in ("", "231", "12121", "132,121", "132,231,121"):
                     run = generate_greedy(shape, avoid.split(",") if avoid else ())
-                    _, out, _ = run_cli(
-                        capsys, "generate", "--shape", format_shape(shape), "--avoid", avoid
-                    )
+                    argv = ("generate", "--shape", format_shape(shape), "--avoid", avoid)
+                    _, out, _ = run_cli(capsys, *argv)
                     assert out == "".join(format_word(w) + "\n" for w in run.words)
+                    _, out, _ = run_cli(capsys, *argv, "--format", "json")
+                    assert out == json.dumps(run_to_payload(run, "greedy")) + "\n"
+
+    def test_greedy_comma_form(self, capsys, monkeypatch):
+        # m = 10 prints words in comma form.  The run (16,796 words, sized by
+        # the k-Catalan formula) is made once and handed to the command; a
+        # language without a closed form on 1^10 takes about a minute to list
+        run = generate_greedy(make_shape((1,) * 10), ("132", "121"))
+        monkeypatch.setattr(swordgen.greedy, "generate_greedy", lambda *args, **kwargs: run)
+        argv = ("generate", "--shape", "1^10", "--avoid", "132,121")
+        _, out, _ = run_cli(capsys, *argv)
+        assert out == "".join(format_word(w) + "\n" for w in run.words)
+        assert out.startswith("1,2,3,4,5,6,7,8,9,10\n")
+        _, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert out == json.dumps(run_to_payload(run, "greedy")) + "\n"
 
     def test_closed_pipe_ends_quietly(self):
         # 2,027,025 words, but the reader leaves after the first line
@@ -244,6 +259,11 @@ class TestBadInput:
     def test_bad_shape(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--shape", "0,1")
         assert code == 2 and "error" in err
+        # a given shape is read even where the verdict does not need it
+        code, out, err = run_cli(
+            capsys, "zigzag", "--mode", "syntactic", "--shape", "abc", "--avoid", "231"
+        )
+        assert code == 2 and out == "" and "error" in err
 
     def test_bad_pattern(self, capsys):
         code, _, err = run_cli(
@@ -394,12 +414,17 @@ class TestCount:
         assert code == 0 and int(out) == 12
 
     def test_formula_count_is_bounded_by_its_digits(self, capsys):
-        # 1700! has 4,755 digits, more than an int prints
-        begin = time.perf_counter()
-        code, out, err = run_cli(capsys, "count", "--shape", "1^1700", "--method", "formula")
-        assert time.perf_counter() - begin < 1.0
-        assert code == 3 and out == ""
-        assert "error: the count has more than 4300 digits" in err
+        for argv in [
+            ("1^1700",),  # 1700! has 4,755 digits, more than an int prints
+            ("1000000^3",),  # millions of digits, refused before they are computed
+            ("10000000^2",),
+            ("100000^100000", "--avoid", "132,121"),
+        ]:
+            begin = time.perf_counter()
+            code, out, err = run_cli(capsys, "count", "--shape", *argv, "--method", "formula")
+            assert time.perf_counter() - begin < 1.0, argv
+            assert code == 3 and out == ""
+            assert "error: the count has more than 4300 digits" in err
         code, out, _ = run_cli(capsys, "count", "--shape", "1^1000", "--method", "formula")
         assert code == 0 and len(out.strip()) == 2568
 
