@@ -158,16 +158,22 @@ def generate_greedy(
     word = start if start is not None else nondecreasing_word(shape)
     validate_word(shape, word)
     pats = normalize_patterns(patterns)
-    if not avoids_all(word, pats):
+    # a pattern no word of the shape holds never matches: test only the rest
+    live = oracle.live_patterns(shape, pats)
+    if not avoids_all(word, live):
         raise InvalidStartError("start word is outside the language")
 
     oracle._check_cap(shape, cap)
+    # the given set's closed form, else the live set's: {132, 121} has one
+    # on 1^m, where its live {132} has none, and 12121 on 1^m only the latter
     size = oracle.formula_count(shape, pats)
+    if size is None:
+        size = oracle.formula_count(shape, live)
     if size is not None:
         # a closed form sizes the language: test each candidate directly
-        member = oracle.member_test(pats)
+        member = oracle.member_test(live)
     else:
-        lang = frozenset(oracle.language(shape, pats, cap))
+        lang = frozenset(oracle.language(shape, live, cap))
         member, size = lang.__contains__, len(lang)
     words, moves = _scan(shape, word, member)
     complete = len(words) == size
@@ -182,13 +188,14 @@ def generate_greedy(
 
 
 def verify_gray_code(run: GrayCodeRun, cap: int | None = None) -> GrayCodeReport:
-    """Check a run: membership, distinctness, exhaustiveness (by count: the
-    closed form, else the oracle's; None over the cap), and that every
-    transition classifies as exactly the recorded bump."""
+    """Check a run: membership (against the live patterns), distinctness,
+    exhaustiveness (by count: the closed form, else the generating tree's;
+    None over the cap), and that every transition classifies as exactly
+    the recorded bump."""
     counterexamples: dict = {}
 
     all_member = True
-    member = oracle.member_test(run.patterns)
+    member = oracle.member_test(oracle.live_patterns(run.shape, run.patterns))
     for k, w in enumerate(run.words):
         try:
             validate_word(run.shape, w)
@@ -293,13 +300,8 @@ def children(
     """
     pats = normalize_patterns(patterns)
     validate_word(parent_shape(shape), word2)
-    m = shape.m
-    member = oracle.member_test(pats)
-    # parent_word removes exactly a copy of m inserted right of the others;
-    # a later insertion point gives a lexicographically smaller word
-    first = len(word2) - word2[::-1].index(m) if m in word2 else 0
-    cands = (word2[:p] + (m,) + word2[p:] for p in range(len(word2), first - 1, -1))
-    out = list(filter(member, cands))
+    # parent_word removes exactly a copy of m inserted right of the others
+    out = list(filter(oracle.member_test(pats), oracle.insertions(word2, shape.m)))
     if not out:
         raise WordError(f"{word2} is not in the parent language")
     return out

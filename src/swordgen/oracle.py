@@ -3,8 +3,10 @@ Ground-truth enumeration and closed-form counts.
 
 The oracle lists languages exhaustively (lexicographic next-permutation
 stepping, no recursion) and supplies the exact counts the generators are
-checked against.  Enumeration is guarded by a hard cap, overridable via the
-SWORDGEN_CAP environment variable or per call.
+checked against: closed forms, and counts on the generating tree, which
+`language` checks in turn.  It also drops the patterns no word of a shape
+can contain.  Enumeration and counting are guarded by a hard cap,
+overridable via the SWORDGEN_CAP environment variable or per call.
 """
 
 from __future__ import annotations
@@ -209,12 +211,57 @@ def count_avoiding(
     patterns=frozenset(),
     cap: int | None = None,
 ) -> int:
-    """Language size by enumeration (the oracle side of count checks)."""
-    pats = normalize_patterns(patterns)
-    if not pats:
-        _check_cap(shape, cap)
+    """Language size on the generating tree.  Deleting the rightmost copy of
+    the largest value keeps a word's avoidance, so each member arises once
+    from a member with one copy fewer, by `insertions`: the language is
+    built one copy at a time from the empty word, keeping the members of
+    each level.  Refused, like `all_swords`, when the shape has more words
+    than the cap; without live patterns the count is the multinomial.
+
+    >>> count_avoiding(make_shape((2, 2, 2)), {"312", "212"})
+    12
+    """
+    _check_cap(shape, cap)
+    live = live_patterns(shape, patterns)
+    if not live:
         return multinomial(shape)
-    return sum(map(member_test(pats), all_swords(shape, cap)))
+    member = member_test(live)
+    level: list[Word] = [()]
+    for v, copies in enumerate(shape.multiplicities, 1):
+        for _ in range(copies):
+            level = [w for parent in level for w in filter(member, insertions(parent, v))]
+    return len(level)
+
+
+def insertions(word: Word, v: int) -> list[Word]:
+    """The words made by inserting `v` into `word` right of its last copy
+    of v (anywhere without one), from the last point of insertion to the
+    first: lexicographically ascending when v is the largest letter.
+
+    >>> insertions((1, 2, 1), 2)
+    [(1, 2, 1, 2), (1, 2, 2, 1)]
+    """
+    first = len(word) - word[::-1].index(v) if v in word else 0
+    return [word[:p] + (v,) + word[p:] for p in range(len(word), first - 1, -1)]
+
+
+def live_patterns(shape: Shape, patterns) -> frozenset[Word]:
+    """The patterns that some word of the shape contains.  A pattern needs
+    increasing values whose copies cover its letters' multiplicities, in
+    order; matching each letter to the first value left that has enough
+    copies finds such values whenever they exist.
+
+    >>> sorted(live_patterns(make_shape((1,) * 8), {"12121", "231"}))
+    [(2, 3, 1)]
+    """
+
+    def fits(pattern: Word) -> bool:
+        sizes = iter(shape.multiplicities)  # shared: the values increase
+        return all(
+            any(s >= pattern.count(x) for s in sizes) for x in range(1, max(pattern) + 1)
+        )
+
+    return frozenset(filter(fits, normalize_patterns(patterns)))
 
 
 def all_shapes(total: int) -> list[Shape]:

@@ -103,7 +103,8 @@ def generate_loopless(
     """
     if visit is None:
         return _loopless(shape)
-    return _loopless(shape, lambda perm, *_: visit(perm))
+    # named parameters: a `*_` catch-all would pack a tuple on every visit
+    return _loopless(shape, lambda perm, v, u, i, j, left, inv, fs, dirs: visit(perm))
 
 
 def _check_output(shape: Shape) -> None:

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import swordgen
-from swordgen import cli, stirling
+from swordgen import cli, oracle, stirling
 from swordgen.cli import parse_and_dispatch
 from swordgen.greedy import generate_greedy, run_from_payload, run_to_payload
 from swordgen.oracle import all_shapes, multinomial, stirling_count
@@ -382,6 +382,17 @@ class TestVerify:
         assert out == ""
         assert "--start" in err
 
+    def test_void_pattern_is_decided_without_listing(self, capsys, monkeypatch):
+        # 12121 needs three copies of a value, so the language is every word
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify listed every word")
+
+        monkeypatch.setattr(oracle, "all_swords", refuse)
+        code, out, _ = run_cli(capsys, "verify", "--shape", "2,1,1,1,1,2", "--avoid", "12121")
+        assert code == 0
+        assert "words: 10080" in out.splitlines()
+        assert "exhaustive: True" in out.splitlines()
+
     def test_incomplete_is_a_negative_verdict(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--shape", "1,1,1", "--avoid", "312",
@@ -427,6 +438,12 @@ class TestCount:
             assert "error: the count has more than 4300 digits" in err
         code, out, _ = run_cli(capsys, "count", "--shape", "1^1000", "--method", "formula")
         assert code == 0 and len(out.strip()) == 2568
+
+    def test_tree_count_keeps_the_cap(self, capsys):
+        # the generating tree counts under the same cap as the word list
+        code, out, err = run_cli(capsys, "count", "--shape", "1^11", "--avoid", "231")
+        assert code == 3 and out == ""
+        assert err.strip().endswith("has more words than the cap of 10000000")
 
     def test_formula_needs_known_patterns(self, capsys):
         code, _, err = run_cli(

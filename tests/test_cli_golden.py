@@ -2,11 +2,14 @@
 Golden digests of the command-line bytes.
 
 A family is one subcommand in one format, run over every shape with
-n <= 5 (and, for `generate`, over a list of pattern sets and both engines
-of 212).  Its digest is the sha256 of every call's argv, exit code, stdout
-and stderr, in order, so a change to how any of these calls prints shows
-as a failure naming the family.  After a deliberate change of output,
-print the new digests with `PYTHONPATH=src python tests/test_cli_golden.py`.
+n <= 5 (and, for `generate`, `verify`, `count` and `zigzag`, over a list
+of pattern sets; for `generate` and `verify` also over both engines of
+212, and for `count` over both methods).  `count`, `verify` and `zigzag`
+print one form only and take no `--format`.  A family's digest is the
+sha256 of every call's argv, exit code, stdout and stderr, in order, so a
+change to how any of these calls prints shows as a failure naming the
+family.  After a deliberate change of output, print the new digests with
+`PYTHONPATH=src python tests/test_cli_golden.py`.
 """
 
 import contextlib
@@ -36,21 +39,32 @@ DIGESTS = {
     "path dot": "be7c42adf1436b9cafad0232b2e5089665ebfef761a030264958603ce8cdef34",
     "trace text": "25595b40be80f626af5111fbeb990a5d1687be5f42719aab30ada09d6b80ad07",
     "trace json": "d2c989c30a2d1e4949efee938321dcbfb63b9124b8aa44e2f1af590fcaf01598",
+    "count": "3bcf9f2f5b4c0274cffb645f61f4c10e9454000392ff2b5b663ba1def521a4c6",
+    "verify": "c534e08cd8aa19aef2146f73f239210970a15fd4496b056fa75370cde71bdc7d",
+    "zigzag --mode both": "7b1ab7286ca0bf9943cd2627fbd0dd116f8dea6311bc487e5dcada3be7ca1866",
 }
+
+# the subcommands that print one form only
+UNFORMATTED = ("count", "verify", "zigzag")
 
 
 def family_calls(family: str):
     """The argv lists of a family, in order."""
-    *command, fmt = family.split()
+    command, *options = family.split()
+    if command not in UNFORMATTED:
+        options[-1:] = ["--format", options[-1]]
+    methods = (["--method", "oracle"], ["--method", "formula"]) if command == "count" else ([],)
     for n in range(1, 6):
         for shape in all_shapes(n):
-            base = [command[0], "--shape", format_shape(shape), *command[1:], "--format", fmt]
-            if command[0] != "generate":
+            base = [command, "--shape", format_shape(shape), *options]
+            if command in ("trees", "path", "trace"):
                 yield base
                 continue
             for avoid in PATTERN_SETS:
-                yield base + (["--avoid", avoid] if avoid else [])
-            yield base + ["--avoid", "212", "--engine", "greedy"]
+                for method in methods:
+                    yield base + (["--avoid", avoid] if avoid else []) + method
+            if command in ("generate", "verify"):
+                yield base + ["--avoid", "212", "--engine", "greedy"]
 
 
 def family_digest(family: str) -> str:

@@ -90,6 +90,20 @@ class TestEngineOptions:
         with pytest.raises(AssertionError, match="listed the language"):
             generate_greedy(shape, {"231"})
 
+    def test_void_patterns_are_neither_listed_nor_tested(self, monkeypatch):
+        # 12121 needs three copies of a value: on 1^8 the run is the one with
+        # no patterns, sized by the multinomial, and still reports 12121
+        free = generate_greedy(make_shape((1,) * 8))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("greedy listed the language")
+
+        monkeypatch.setattr(oracle, "language", refuse)
+        run = generate_greedy(make_shape((1,) * 8), {"12121"})
+        assert run.words == free.words and run.moves == free.moves
+        assert run.complete and len(run.words) == 40320
+        assert run.patterns == {(1, 2, 1, 2, 1)}
+
     def test_212_run_respects_the_cap(self):
         with pytest.raises(SizeLimitError):
             generate_greedy(make_shape((2, 2, 2)), {"212"}, cap=50)

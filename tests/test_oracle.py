@@ -2,6 +2,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swordgen import oracle
 from swordgen.oracle import (
@@ -16,11 +18,12 @@ from swordgen.oracle import (
     formula_count,
     k_catalan,
     language,
+    live_patterns,
     multinomial,
     resolve_cap,
     stirling_count,
 )
-from swordgen.patterns import avoids_all
+from swordgen.patterns import avoids_all, contains_pattern
 from swordgen.words import make_shape, nondecreasing_word
 
 
@@ -95,8 +98,8 @@ class TestCounting:
                 assert count_avoiding(shape, STIRLING_PATTERNS) == stirling_count(shape)
 
     def test_count_212_kernel_matches_formula(self):
-        # the brute-force {212} counter, reached with the pattern given as a
-        # string, as a tuple and as the normalised constant
+        # the {212} count, reached with the pattern given as a string, as a
+        # tuple and as the normalised constant
         for mult in [(2, 1, 3), (1, 1, 1, 1), (3, 3), (2, 2, 2)]:
             shape = make_shape(mult)
             for pats in ({"212"}, [(2, 1, 2)], STIRLING_PATTERNS):
@@ -145,6 +148,69 @@ class TestCounting:
 
         monkeypatch.setattr(oracle, "language", refuse)
         assert count_avoiding(shape, pats) == want
+
+
+# the pattern sets of the greedy oracle's tests, and one with a pattern that
+# dies on shapes with single copies
+TREE_PATTERN_SETS = [
+    (), ("231",), ("12121",), ("132", "121"), ("132", "231", "121"),
+    ("212",), ("312",), ("121",), ("2121",), ("11",), ("312", "212"),
+]
+# every normalised pattern of length <= 4, and three that need many copies
+NORMALISED_PATTERNS = [
+    p
+    for k in range(1, 5)
+    for p in itertools.product(range(1, k + 1), repeat=k)
+    if set(p) == set(range(1, max(p) + 1))
+] + [(1, 2, 1, 2, 1), (1, 1, 1, 1, 1), (2, 1, 2, 1)]
+
+
+def holds_somewhere(shape, pattern):
+    """Brute force: some word of the shape contains the pattern."""
+    return any(contains_pattern(w, pattern) for w in all_swords(shape))
+
+
+class TestGeneratingTree:
+    @pytest.mark.parametrize("pats", TREE_PATTERN_SETS, ids=lambda p: ",".join(p) or "none")
+    def test_tree_count_matches_brute_force(self, pats):
+        for total in range(1, 8):
+            for shape in all_shapes(total):
+                assert count_avoiding(shape, pats) == len(language(shape, pats)), shape
+
+    def test_live_patterns_match_brute_force(self):
+        for total in range(1, 7):
+            for shape in all_shapes(total):
+                for p in NORMALISED_PATTERNS:
+                    assert bool(live_patterns(shape, {p})) == holds_somewhere(shape, p), (shape, p)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=5).filter(lambda s: sum(s) <= 7),
+        st.sets(st.sampled_from(NORMALISED_PATTERNS), max_size=3),
+    )
+    def test_tree_and_pruning_on_random_shapes(self, mult, pats):
+        shape = make_shape(tuple(mult))
+        assert count_avoiding(shape, pats) == len(language(shape, pats))
+        assert live_patterns(shape, pats) == {p for p in pats if holds_somewhere(shape, p)}
+
+    def test_tree_count_lists_no_words(self, monkeypatch):
+        shape, perms = make_shape((2,) * 5), make_shape((1,) * 8)
+        want = len(language(shape, {"312"}))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("count_avoiding listed every word")
+
+        monkeypatch.setattr(oracle, "all_swords", refuse)
+        assert count_avoiding(shape, {"312"}) == want
+        # 212 needs two copies of a value: on 1^8 only 312 is tested
+        assert count_avoiding(perms, {"312", "212"}) == count_avoiding(perms, {"312"}) == 1430
+
+    def test_insertions_right_of_the_last_copy(self):
+        assert oracle.insertions((), 1) == [(1,)]
+        assert oracle.insertions((2, 1), 3) == [(2, 1, 3), (2, 3, 1), (3, 2, 1)]
+        assert oracle.insertions((2, 1, 2, 1), 2) == [(2, 1, 2, 1, 2), (2, 1, 2, 2, 1)]
+        # a smaller letter than some of the word's goes in right of its copies too
+        assert oracle.insertions((1, 3, 1), 1) == [(1, 3, 1, 1)]
 
 
 class TestCap:
