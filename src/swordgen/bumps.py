@@ -35,24 +35,14 @@ class BumpMove:
     distance: int
     anchor: int
 
+    # the JSON keys are the fields, in order (`__match_args__` lists them)
     def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "dir": self.dir,
-            "width": self.width,
-            "distance": self.distance,
-            "anchor": self.anchor,
-        }
+        return {name: getattr(self, name) for name in self.__match_args__}
 
     @classmethod
     def from_json(cls, payload: dict) -> "BumpMove":
-        return cls(
-            rank=payload["rank"],
-            dir=payload["dir"],
-            width=payload["width"],
-            distance=payload["distance"],
-            anchor=payload["anchor"],
-        )
+        """A missing field raises KeyError naming the first one missing."""
+        return cls(*[payload[name] for name in cls.__match_args__])
 
 
 def _check_place(word: Word, where: str, at: int, direction: str) -> None:

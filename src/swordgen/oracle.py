@@ -3,7 +3,8 @@ Ground-truth enumeration and closed-form counts.
 
 The oracle lists languages exhaustively (lexicographic next-permutation
 stepping, no recursion) and supplies the exact counts the generators are
-checked against: closed forms, and counts on the generating tree, which
+checked against: closed forms, and counts on the generating tree (a
+word's parent deletes the rightmost copy of its largest value), which
 `language` checks in turn.  It also drops the patterns no word of a shape
 can contain.  Enumeration and counting are guarded by a hard cap,
 overridable via the SWORDGEN_CAP environment variable or per call.
@@ -18,7 +19,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .patterns import avoids_212, avoids_all, normalize_patterns
-from .words import Shape, Word, make_shape, nondecreasing_word
+from .words import Shape, Word, WordError, make_shape, nondecreasing_word, validate_word
 
 DEFAULT_CAP = 10_000_000
 
@@ -181,14 +182,16 @@ def all_swords(shape: Shape, cap: int | None = None) -> list[Word]:
 
 def member_test(patterns: frozenset[Word]) -> Callable[[Word], bool]:
     """The avoidance test for a normalised pattern set: the linear
-    `avoids_212` for {212}, `avoids_all` otherwise.  The one place that
-    picks a test by pattern set.
+    `avoids_212` for {212}, one accepting every word for no patterns,
+    `avoids_all` otherwise.  The one place that picks a test by pattern set.
 
     >>> member_test(STIRLING_PATTERNS).__name__
     'avoids_212'
     """
     if patterns == STIRLING_PATTERNS:
         return avoids_212
+    if not patterns:
+        return lambda word: True
     return lambda word: avoids_all(word, patterns)
 
 
@@ -243,6 +246,47 @@ def insertions(word: Word, v: int) -> list[Word]:
     """
     first = len(word) - word[::-1].index(v) if v in word else 0
     return [word[:p] + (v,) + word[p:] for p in range(len(word), first - 1, -1)]
+
+
+def parent_shape(shape: Shape) -> Shape:
+    """Drop one copy of the largest value (removing it entirely at 1)."""
+    mult = shape.multiplicities
+    if not mult:
+        raise ValueError("the empty shape has no parent")
+    if mult[-1] > 1:
+        return Shape(mult[:-1] + (mult[-1] - 1,))
+    return Shape(mult[:-1])
+
+
+def parent_word(word: Word) -> Word:
+    """Remove the rightmost copy of the largest value."""
+    if not word:
+        raise WordError("the empty word has no parent")
+    m = max(word)
+    idx = len(word) - 1 - word[::-1].index(m)
+    return word[:idx] + word[idx + 1 :]
+
+
+def parent_language(
+    shape: Shape, patterns=frozenset(), cap: int | None = None
+) -> tuple[Word, ...]:
+    """Image of the language under parent_word, deduplicated and sorted."""
+    return tuple(sorted({parent_word(w) for w in language(shape, patterns, cap)}))
+
+
+def children(word2: Word, shape: Shape, patterns=frozenset()) -> list[Word]:
+    """All language words whose parent is `word2`, in lexicographic order.
+
+    `shape` is the child shape; `word2` must belong to its parent language
+    (equivalently: have at least one child).
+    """
+    member = member_test(normalize_patterns(patterns))
+    validate_word(parent_shape(shape), word2)
+    # parent_word removes exactly a copy of m inserted right of the others
+    out = list(filter(member, insertions(word2, shape.m)))
+    if not out:
+        raise WordError(f"{word2} is not in the parent language")
+    return out
 
 
 def live_patterns(shape: Shape, patterns) -> frozenset[Word]:

@@ -102,10 +102,11 @@ def check_word(word: Word) -> None:
 
 def validate_word(shape: Shape, word: Word) -> None:
     """Raise WordError unless `word` has exactly the multiset of `shape`."""
-    counts = [0] * shape.m
+    m = shape.m
+    counts = [0] * m
     for d in word:
-        if not 1 <= d <= shape.m:
-            raise WordError(f"digit {d} outside 1..{shape.m}")
+        if not 1 <= d <= m:
+            raise WordError(f"digit {d} outside 1..{m}")
         counts[d - 1] += 1
     if tuple(counts) != shape.multiplicities:
         raise WordError(

@@ -4,14 +4,14 @@ Zig-zag language checks.
 A language is zig-zag when it is closed under maximum jumps of the
 rightmost copy of the largest value, and its projection (deleting that
 copy from every word) is again zig-zag.  Closure is the hypothesis under
-which the greedy engine is guaranteed to visit everything, so two checks
-are provided: a cheap syntactic test on the pattern set and an
+which the minimal-bump engine is guaranteed to visit everything, so two
+checks are provided: a cheap syntactic test on the pattern set and an
 exhaustive semantic test on the enumerated language.
 
 Only the rightmost largest digit carries jump obligations at each level;
 lower values are covered by the recursion.  Requiring every digit to
-jump freely would be strictly stronger and rejects languages the greedy
-engine does generate, such as the 12121-avoiders over three values.
+jump freely would be strictly stronger and rejects languages that engine
+does generate, such as the 12121-avoiders over three values.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Iterable, Optional
 
 from . import oracle
 from .bumps import LEFT, RIGHT, maximum_jump
-from .greedy import parent_word
 from .patterns import normalize_patterns
 from .words import Shape, Word
 
@@ -75,7 +74,7 @@ def closed_under_maximum_jumps(
                 result = maximum_jump(w, i, direction)
                 if result is not None and result not in word_set:
                     return False, (w, i, direction, result)
-        word_set = {parent_word(w) for w in word_set}
+        word_set = {oracle.parent_word(w) for w in word_set}
     return True, None
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from swordgen.bumps import BumpError, LEFT, RIGHT, apply_jump, classify_move
 from swordgen.cli import parse_and_dispatch
-from swordgen.greedy import generate_greedy, parent_shape, project_to_parent
+from swordgen.greedy import generate_greedy, project_to_parent
 from swordgen.oracle import (
     PEAKLESS_PATTERNS,
     all_shapes,
@@ -20,6 +20,7 @@ from swordgen.oracle import (
     k_catalan,
     language,
     multinomial,
+    parent_shape,
     stirling_count,
 )
 from swordgen.patterns import contains_pattern, normalize_patterns

@@ -394,13 +394,16 @@ class TestVerify:
         assert "exhaustive: True" in out.splitlines()
 
     def test_incomplete_is_a_negative_verdict(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--shape", "1,1,1", "--avoid", "312",
-            "--expect-complete",
-        )
+        code, out, _ = run_cli(capsys, "verify", "--shape", "1,1,1", "--avoid", "312")
         assert code == 1
         assert "complete: False" in out.splitlines()
         assert "exhaustive: False" in out.splitlines()
+
+    def test_expect_complete_is_a_generate_option(self, capsys):
+        # the report's exhaustive verdict already fails an incomplete run
+        code, _, err = run_cli(capsys, "verify", "--shape", "1,1,1", "--expect-complete")
+        assert code == 2
+        assert "--expect-complete" in err
 
 
 class TestCount:

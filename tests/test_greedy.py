@@ -5,24 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swordgen import bumps, oracle, words
+from swordgen import bumps, greedy, oracle, words
 from swordgen.bumps import LEFT, apply_bump, classify_move
 from swordgen.greedy import (
     EXHAUSTED,
     NO_NEW_BUMP,
     GrayCodeRun,
     InvalidStartError,
-    children,
     generate_greedy,
-    parent_language,
-    parent_shape,
-    parent_word,
     project_to_parent,
     run_from_payload,
     run_to_payload,
     verify_gray_code,
 )
-from swordgen.oracle import SizeLimitError, all_shapes, all_swords, language, multinomial
+from swordgen.oracle import (
+    SizeLimitError,
+    all_shapes,
+    all_swords,
+    children,
+    language,
+    multinomial,
+    parent_language,
+    parent_shape,
+    parent_word,
+)
 from swordgen.patterns import avoids_all, normalize_patterns
 from swordgen.stirling import loopless_run
 from swordgen.words import WordError, make_shape, shape_of_word
@@ -98,11 +104,21 @@ class TestEngineOptions:
         def refuse(*args, **kwargs):
             raise AssertionError("greedy listed the language")
 
+        calls = []
+
+        def counted(word, patterns):
+            calls.append(word)
+            return avoids_all(word, patterns)
+
         monkeypatch.setattr(oracle, "language", refuse)
+        for module in (greedy, oracle):
+            monkeypatch.setattr(module, "avoids_all", counted)
         run = generate_greedy(make_shape((1,) * 8), {"12121"})
         assert run.words == free.words and run.moves == free.moves
         assert run.complete and len(run.words) == 40320
         assert run.patterns == {(1, 2, 1, 2, 1)}
+        # the start word is checked once; no candidate is tested
+        assert calls == [run.words[0]]
 
     def test_212_run_respects_the_cap(self):
         with pytest.raises(SizeLimitError):
@@ -216,6 +232,16 @@ class TestVerify:
             run.complete, run.halted_reason,
         )
         assert verify_gray_code(alien).all_member is False
+
+        # a word outside the shape fails membership and the move into it,
+        # without raising
+        short = generate_greedy(make_shape((1, 1, 1)))
+        payload = run_to_payload(short, "greedy")
+        payload["words"][2] = [1, 1, 2]
+        report = verify_gray_code(run_from_payload(payload))
+        assert report.all_member is False and report.moves_valid is False
+        assert report.counterexamples["all_member"] == (2, (1, 1, 2))
+        assert report.counterexamples["moves_valid"] == (1, short.moves[1], None)
 
     def test_wide_moves_flagged_but_not_fatal(self):
         # 123 -> 312 is a legal distance-2 bump but changes 3 positions:
