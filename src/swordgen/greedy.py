@@ -290,14 +290,14 @@ def run_to_payload(run: GrayCodeRun, engine: str) -> dict:
 
 
 def run_from_payload(payload: dict) -> GrayCodeRun:
-    """Rebuild a run from the form `run_to_payload` writes; a missing field
-    raises ValueError naming it."""
+    """Rebuild a run from the form `run_to_payload` writes; a missing field,
+    or a digit that is not an int, raises ValueError naming the field."""
     try:
-        shape = Shape(tuple(payload["shape"]))
-        words = tuple(tuple(w) for w in payload["words"])
+        shape = Shape(_digits(payload["shape"], "shape"))
+        words = tuple(_digits(w, "words") for w in payload["words"])
         moves = tuple(BumpMove.from_json(mv) for mv in payload["moves"])
         complete = bool(payload["complete"])
-        patterns = frozenset(tuple(p) for p in payload["patterns"])
+        patterns = frozenset(_digits(p, "patterns") for p in payload["patterns"])
     except KeyError as exc:
         raise ValueError(f"run payload has no {exc.args[0]!r} field") from None
     return GrayCodeRun(
@@ -308,3 +308,10 @@ def run_from_payload(payload: dict) -> GrayCodeRun:
         complete,
         EXHAUSTED if complete else NO_NEW_BUMP,
     )
+
+
+def _digits(row, name: str) -> Word:
+    row = tuple(row)
+    if not all(type(d) is int for d in row):
+        raise ValueError(f"run payload field {name!r} holds a digit that is not an int: {row}")
+    return row

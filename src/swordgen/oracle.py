@@ -3,10 +3,10 @@ Ground-truth enumeration and closed-form counts.
 
 The oracle lists languages exhaustively (lexicographic next-permutation
 stepping, no recursion) and supplies the exact counts the generators are
-checked against: closed forms, and counts on the generating tree (a
-word's parent deletes the rightmost copy of its largest value), which
-`language` checks in turn.  It also drops the patterns no word of a shape
-can contain.  Enumeration and counting are guarded by a hard cap,
+checked against: closed forms, and the language built on the generating
+tree (a word's parent deletes the rightmost copy of its largest value),
+which `language` checks in turn.  It also drops the patterns no word of a
+shape can contain.  Enumeration and counting are guarded by a hard cap,
 overridable via the SWORDGEN_CAP environment variable or per call.
 """
 
@@ -18,7 +18,7 @@ import sys
 from functools import lru_cache
 from typing import Callable
 
-from .patterns import avoids_212, avoids_all, normalize_patterns
+from .patterns import avoids_212, avoids_all, normalize_patterns, occurrence_points
 from .words import Shape, Word, WordError, make_shape, nondecreasing_word, validate_word
 
 DEFAULT_CAP = 10_000_000
@@ -79,7 +79,8 @@ def k_catalan(k: int, m: int) -> int:
 
 def formula_count(shape: Shape, patterns: frozenset[Word]) -> int | None:
     """|L| in closed form for a normalised pattern set, None without one:
-    the multinomial for no patterns, the product formula for {212}, and
+    the multinomial for no patterns, the product formula for {212}, the
+    product of (s_v + 1) over v >= 2 for the peakless {132, 231, 121}, and
     k_catalan(s + 1, m) for {132, 121} when every multiplicity is s.  A
     count with more digits than an int prints raises SizeLimitError before
     it is computed.
@@ -89,6 +90,10 @@ def formula_count(shape: Shape, patterns: frozenset[Word]) -> int | None:
     """
     if not patterns or patterns == STIRLING_PATTERNS:
         factors, divisor = _size_factors(shape, bool(patterns)), 1
+    elif patterns == PEAKLESS_PATTERNS:
+        # the word falls weakly, then rises: the 1s at the bottom, and each
+        # larger value's copies split between the two sides
+        factors, divisor = [(1, s) for s in shape.multiplicities[1:]], 1
     elif patterns == KCATALAN_PATTERNS and len(set(shape.multiplicities)) == 1:
         # k_catalan(s + 1, m) = C((s + 1)m, m) / (sm + 1), exactly
         top = shape.multiplicities[0] * shape.m
@@ -209,31 +214,58 @@ def language(
     return tuple(filter(member, all_swords(shape, cap)))
 
 
+def tree_level(
+    shape: Shape,
+    patterns=frozenset(),
+    cap: int | None = None,
+) -> list[Word]:
+    """The language on the generating tree, in tree order.  Deleting the
+    rightmost copy of the largest value keeps a word's avoidance, so each
+    member arises once from a member with one copy fewer, by `insertions`:
+    the language is built one copy at a time from the empty word, keeping
+    the members of each level.  The parent avoids every pattern and the
+    inserted copy is the largest value, so a candidate is tested only for
+    occurrences through that copy, and not at all without live patterns.
+    Refused, like `all_swords`, when the shape has more words than the cap.
+
+    >>> sorted(tree_level(make_shape((2, 2)), {"212"}))
+    [(1, 1, 2, 2), (1, 2, 2, 1), (2, 2, 1, 1)]
+    """
+    _check_cap(shape, cap)
+    live = live_patterns(shape, patterns)
+    level: list[Word] = [()]
+    for v, copies in enumerate(shape.multiplicities, 1):
+        for _ in range(copies):
+            level = [child for parent in level for child in _members(parent, v, live)]
+    return level
+
+
+def _members(parent: Word, v: int, live: frozenset[Word]) -> list[Word]:
+    # the insertions of v into a member that avoid the live patterns
+    occupied = set().union(*(occurrence_points(parent, v, pat) for pat in live))
+    return [
+        parent[:p] + (v,) + parent[p:]
+        for p in _insertion_points(parent, v)
+        if p not in occupied
+    ]
+
+
 def count_avoiding(
     shape: Shape,
     patterns=frozenset(),
     cap: int | None = None,
 ) -> int:
-    """Language size on the generating tree.  Deleting the rightmost copy of
-    the largest value keeps a word's avoidance, so each member arises once
-    from a member with one copy fewer, by `insertions`: the language is
-    built one copy at a time from the empty word, keeping the members of
-    each level.  Refused, like `all_swords`, when the shape has more words
-    than the cap; without live patterns the count is the multinomial.
+    """Language size: the multinomial without live patterns, else the size
+    of the generating tree's top level (`tree_level`), refused alike over
+    the cap.
 
     >>> count_avoiding(make_shape((2, 2, 2)), {"312", "212"})
     12
     """
+    if live_patterns(shape, patterns):
+        return len(tree_level(shape, patterns, cap))
     _check_cap(shape, cap)
-    live = live_patterns(shape, patterns)
-    if not live:
-        return multinomial(shape)
-    member = member_test(live)
-    level: list[Word] = [()]
-    for v, copies in enumerate(shape.multiplicities, 1):
-        for _ in range(copies):
-            level = [w for parent in level for w in filter(member, insertions(parent, v))]
-    return len(level)
+    return multinomial(shape)
 
 
 def insertions(word: Word, v: int) -> list[Word]:
@@ -244,8 +276,12 @@ def insertions(word: Word, v: int) -> list[Word]:
     >>> insertions((1, 2, 1), 2)
     [(1, 2, 1, 2), (1, 2, 2, 1)]
     """
+    return [word[:p] + (v,) + word[p:] for p in _insertion_points(word, v)]
+
+
+def _insertion_points(word: Word, v: int) -> range:
     first = len(word) - word[::-1].index(v) if v in word else 0
-    return [word[:p] + (v,) + word[p:] for p in range(len(word), first - 1, -1)]
+    return range(len(word), first - 1, -1)
 
 
 def parent_shape(shape: Shape) -> Shape:
@@ -271,7 +307,7 @@ def parent_language(
     shape: Shape, patterns=frozenset(), cap: int | None = None
 ) -> tuple[Word, ...]:
     """Image of the language under parent_word, deduplicated and sorted."""
-    return tuple(sorted({parent_word(w) for w in language(shape, patterns, cap)}))
+    return tuple(sorted({parent_word(w) for w in tree_level(shape, patterns, cap)}))
 
 
 def children(word2: Word, shape: Shape, patterns=frozenset()) -> list[Word]:

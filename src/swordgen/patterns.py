@@ -76,6 +76,42 @@ def contains_pattern(word: Word, pattern: Word) -> bool:
     return False
 
 
+def occurrence_points(word: Word, top: int, pattern: Word) -> set[int]:
+    """The points p at which word[:p] + (top,) + word[p:] contains `pattern`
+    with the last copy of its largest letter on the inserted `top`.  For a
+    `word` that avoids the pattern, with no letter above `top` and no copy
+    of it right of p, these are exactly the points where the child contains
+    the pattern: an occurrence must use the new copy, as that letter's last.
+
+    >>> sorted(occurrence_points((2, 1), 3, (2, 3, 1)))
+    [1]
+    >>> sorted(occurrence_points((1, 2, 1, 1), 2, (1, 2, 1, 2, 1)))
+    [3]
+    """
+    # per assignment of smaller values to the other letters, the part before
+    # that copy fits in word[:p] from the end of its leftmost match on, and
+    # the part after it fits in word[p:] up to the start of its rightmost one
+    k = max(pattern)
+    cut = len(pattern) - 1 - pattern[::-1].index(k)
+    head = [x - 1 for x in pattern[:cut]]
+    tail = [x - 1 for x in reversed(pattern[cut + 1 :])]
+    backward = word[::-1]
+    out: set[int] = set()
+    for values in combinations(sorted(set(word) - {top}), k - 1):
+        values += (top,)
+        try:
+            first = 0
+            for i in head:
+                first = word.index(values[i], first) + 1
+            last = 0
+            for i in tail:
+                last = backward.index(values[i], last) + 1
+        except ValueError:  # a part has no match
+            continue
+        out.update(range(first, len(word) - last + 1))
+    return out
+
+
 def avoids_all(word: Word, patterns) -> bool:
     """True iff `word` contains none of `patterns`."""
     return not any(contains_pattern(word, p) for p in patterns)

@@ -6,7 +6,7 @@ rightmost copy of the largest value, and its projection (deleting that
 copy from every word) is again zig-zag.  Closure is the hypothesis under
 which the minimal-bump engine is guaranteed to visit everything, so two
 checks are provided: a cheap syntactic test on the pattern set and an
-exhaustive semantic test on the enumerated language.
+exhaustive semantic test on the language, built on the generating tree.
 
 Only the rightmost largest digit carries jump obligations at each level;
 lower values are covered by the recursion.  Requiring every digit to
@@ -81,5 +81,6 @@ def closed_under_maximum_jumps(
 def semantic_zigzag(
     shape: Shape, patterns=frozenset(), cap: int | None = None
 ) -> tuple[bool, Optional[Witness]]:
-    """Enumerate the language and test zig-zag closure exhaustively."""
-    return closed_under_maximum_jumps(oracle.language(shape, patterns, cap))
+    """Build the language on the generating tree and test zig-zag closure
+    exhaustively."""
+    return closed_under_maximum_jumps(oracle.tree_level(shape, patterns, cap))

@@ -90,11 +90,21 @@ class TestEngineOptions:
 
         monkeypatch.setattr(oracle, "language", refuse)
         shape = make_shape((2, 2, 2, 2))
-        for pats in (set(), {"132", "121"}):
+        for pats in (set(), {"132", "121"}, {"132", "231", "121"}):
             run = generate_greedy(shape, pats)
             assert run.complete and len(run.words) == oracle.count_avoiding(shape, pats)
         with pytest.raises(AssertionError, match="listed the language"):
             generate_greedy(shape, {"231"})
+
+    def test_peakless_run_lists_no_words(self, monkeypatch):
+        # the peakless count is a closed form: of 8! words, 2^7 are members
+        def refuse(*args, **kwargs):
+            raise AssertionError("greedy listed the language")
+
+        for name in ("language", "all_swords"):
+            monkeypatch.setattr(oracle, name, refuse)
+        run = generate_greedy(make_shape((1,) * 8), {"132", "231", "121"})
+        assert run.complete and len(run.words) == 128
 
     def test_void_patterns_are_neither_listed_nor_tested(self, monkeypatch):
         # 12121 needs three copies of a value: on 1^8 the run is the one with
@@ -342,12 +352,20 @@ class TestParentMachinery:
         with pytest.raises(WordError):
             children((2, 1), make_shape((1, 1, 1)), {"21"})
 
-    def test_parent_language_projection(self):
+    def test_parent_language_projection(self, monkeypatch):
         shape = make_shape((2, 2))
+        child = language(shape, {"212"})
+
+        # the parent language comes from the generating tree, not the list
+        def refuse(*args, **kwargs):
+            raise AssertionError("parent_language listed the language")
+
+        for name in ("language", "all_swords"):
+            monkeypatch.setattr(oracle, name, refuse)
         plang = parent_language(shape, {"212"})
         assert {shape_of_word(w).multiplicities for w in plang} == {(2, 1)}
-        child = language(shape, {"212"})
         assert set(plang) == {parent_word(w) for w in child}
+        assert list(plang) == sorted(set(plang))
 
     def test_project_collapses_duplicates(self):
         run = generate_greedy(make_shape((2, 1, 3)), {"212"})
@@ -371,6 +389,18 @@ class TestPayload:
     def test_missing_field_is_named(self, field):
         payload = run_to_payload(generate_greedy(make_shape((2, 1)), {"212"}), "greedy")
         del payload[field]
+        with pytest.raises(ValueError, match=repr(field)):
+            run_from_payload(payload)
+
+    @pytest.mark.parametrize("field", ["shape", "words"])
+    def test_string_digits_are_named(self, field):
+        # digits given as strings are refused like a missing field, not
+        # left to fail as a TypeError in the checks
+        payload = run_to_payload(generate_greedy(make_shape((1, 1, 1)), {"231"}), "greedy")
+        if field == "shape":
+            payload["shape"] = ["1", "1", "1"]
+        else:
+            payload["words"][1] = ["1", "3", "2"]
         with pytest.raises(ValueError, match=repr(field)):
             run_from_payload(payload)
 

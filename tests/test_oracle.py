@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swordgen import oracle
@@ -22,8 +22,9 @@ from swordgen.oracle import (
     multinomial,
     resolve_cap,
     stirling_count,
+    tree_level,
 )
-from swordgen.patterns import avoids_all, contains_pattern
+from swordgen.patterns import avoids_all, contains_pattern, occurrence_points
 from swordgen.words import make_shape, nondecreasing_word
 
 
@@ -125,7 +126,7 @@ class TestCounting:
                 if got is not None:
                     formulas += 1
                     assert got == count_avoiding(shape, pats), shape.multiplicities
-        has_formula = pats in (frozenset(), STIRLING_PATTERNS, KCATALAN_PATTERNS)
+        has_formula = pats in (frozenset(), STIRLING_PATTERNS, KCATALAN_PATTERNS, PEAKLESS_PATTERNS)
         assert (formulas > 0) == has_formula
 
     def test_formula_count_cases(self):
@@ -173,9 +174,29 @@ def holds_somewhere(shape, pattern):
 class TestGeneratingTree:
     @pytest.mark.parametrize("pats", TREE_PATTERN_SETS, ids=lambda p: ",".join(p) or "none")
     def test_tree_count_matches_brute_force(self, pats):
+        # the tree's top level is the language, each word once
         for total in range(1, 8):
             for shape in all_shapes(total):
-                assert count_avoiding(shape, pats) == len(language(shape, pats)), shape
+                want, level = language(shape, pats), tree_level(shape, pats)
+                assert count_avoiding(shape, pats) == len(want), shape
+                assert sorted(level) == list(want), shape
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda s: sum(s) <= 7),
+        st.sampled_from(NORMALISED_PATTERNS),
+        st.data(),
+    )
+    def test_occurrence_points_on_children_of_an_avoider(self, mult, pattern, data):
+        # inserting the largest value right of its copies: a child contains
+        # the pattern exactly at the points the through-copy test names
+        parent = tuple(data.draw(st.permutations(nondecreasing_word(make_shape(tuple(mult))))))
+        assume(not contains_pattern(parent, pattern))
+        top = max(parent) + data.draw(st.integers(0, 1))
+        points = occurrence_points(parent, top, pattern)
+        for child in oracle.insertions(parent, top):
+            p = len(child) - child[::-1].index(top) - 1
+            assert (p in points) == contains_pattern(child, pattern), (child, pattern)
 
     def test_live_patterns_match_brute_force(self):
         for total in range(1, 7):

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from swordgen import oracle
 from swordgen.bumps import LEFT, maximum_jump
 from swordgen.oracle import PEAKLESS_PATTERNS, all_shapes, language
 from swordgen.patterns import contains_pattern
@@ -120,6 +121,15 @@ class TestSemantic:
         assert escape == (1, 2, 1, 3, 2, 1)
         assert escape not in members
         assert semantic_zigzag(shape, pats) == (True, None)
+
+    def test_semantic_test_lists_no_words(self, monkeypatch):
+        # the language comes from the generating tree
+        def refuse(*args, **kwargs):
+            raise AssertionError("semantic_zigzag listed the language")
+
+        for name in ("language", "all_swords"):
+            monkeypatch.setattr(oracle, name, refuse)
+        assert semantic_zigzag(make_shape((1, 2, 2, 2, 2)), {"132"}) == (True, None)
 
     @pytest.mark.parametrize("patterns", ZIGZAG_SETS)
     def test_syntactic_implies_semantic_small(self, patterns):
