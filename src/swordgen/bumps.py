@@ -12,8 +12,7 @@ plain swaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .words import Word
 
@@ -25,9 +24,10 @@ class BumpError(ValueError):
     """Raised when a requested bump does not apply."""
 
 
-@dataclass(frozen=True)
-class BumpMove:
-    """One Gray-code transition: which rank moved, where, and how far."""
+class BumpMove(NamedTuple):
+    """One Gray-code transition: which rank moved, where, and how far.  A
+    named tuple: one is made per greedy step and per classified pair, and a
+    tuple is quicker to make and to compare than a frozen dataclass."""
 
     rank: int
     dir: str
@@ -35,14 +35,14 @@ class BumpMove:
     distance: int
     anchor: int
 
-    # the JSON keys are the fields, in order (`__match_args__` lists them)
+    # the JSON keys are the fields, in order
     def to_json(self) -> dict:
-        return {name: getattr(self, name) for name in self.__match_args__}
+        return dict(zip(self._fields, self))
 
     @classmethod
     def from_json(cls, payload: dict) -> "BumpMove":
         """A missing field raises KeyError naming the first one missing."""
-        return cls(*[payload[name] for name in cls.__match_args__])
+        return cls(*[payload[name] for name in cls._fields])
 
 
 def _check_place(word: Word, where: str, at: int, direction: str) -> None:
@@ -237,7 +237,7 @@ def classify_move(word: Word, word2: Word) -> Optional[BumpMove]:
     else:
         run, passed = word[end : hi + 1], word[lo:end]
         moved = run + passed
-    if word2[lo : hi + 1] != moved or not all(x < v for x in passed):
+    if word2[lo : hi + 1] != moved or max(passed) >= v:
         return None
     anchor += 1
     # ranks order by value, then copies of a value from left to right

@@ -18,12 +18,13 @@ import argparse
 import collections
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import sys
 
 from . import greedy, oracle, stirling, trees, zigzag
-from .greedy import EXHAUSTED, GrayCodeRun, run_to_payload
+from .greedy import NO_NEW_BUMP, GrayCodeRun, run_to_payload
 from .oracle import SizeLimitError
 from .patterns import normalize_patterns
 from .words import Shape, format_word, parse_shape, parse_word
@@ -59,11 +60,11 @@ def _each(items):
     return lambda visit: collections.deque(map(visit, items), maxlen=0)
 
 
-def _write_chunks(feed, convert, render, sep: str = "") -> None:
+def _write_chunks(feed, convert, render, sep: str = ""):
     """Run `feed` with a visitor that keeps `convert(item)` of each item;
     every CHUNK kept items, and the rest at the end, go to `sys.stdout` in
     one write as `render(kept)`, writes after the first led by `sep`.
-    `sys.stdout` is looked up at each write."""
+    `sys.stdout` is looked up at each write.  Returns what `feed` returns."""
     kept: list = []
     lead = ""
 
@@ -79,8 +80,9 @@ def _write_chunks(feed, convert, render, sep: str = "") -> None:
         if len(kept) == CHUNK:
             flush()
 
-    feed(add)
+    result = feed(add)
     flush()
+    return result
 
 
 def _lines(kept: list[str]) -> str:
@@ -91,21 +93,49 @@ def _digit_lines(kept: list[bytes]) -> str:
     return (b"\n".join(kept) + b"\n").translate(_DIGITS).decode()
 
 
+def _digit_lists(kept: list[bytes]) -> str:
+    # every digit joined by ", ", and each line break, joined so too,
+    # turned into the end of one JSON list and the start of the next
+    text = ", ".join(b"\n".join(kept).translate(_DIGITS).decode())
+    return "[" + text.replace(", \n, ", "], [") + "]"
+
+
 def _move_json(move) -> str:
     return json.dumps(move.to_json())
 
 
-def _write_run_json(run: GrayCodeRun, engine: str, words, moves) -> None:
-    """`json.dumps(run_to_payload(run, engine))` and a newline, with the
-    words (lists of ints) and the moves (their `_move_json`) taken from
-    their feeds instead of from `run`."""
-    empty = dataclasses.replace(run, words=(), moves=())
-    head, tail = json.dumps(run_to_payload(empty, engine)).split(_LISTS)
-    sys.stdout.write(head + '"words": [')
-    _write_chunks(words, str, ", ".join, ", ")  # a list of ints prints as JSON
+def _write_run_json(shape: Shape, patterns, engine: str, words, moves, size: int) -> int:
+    """`json.dumps(run_to_payload(run, engine))` and a newline for the run
+    that the feeds give: first the words, then the moves (their
+    `_move_json`).  The run is complete when the words number `size`.
+    Returns the number of words."""
+    payload = run_to_payload(GrayCodeRun(shape, patterns, (), (), False, NO_NEW_BUMP), engine)
+    sys.stdout.write(json.dumps(payload).split(_LISTS)[0] + '"words": [')
+    if shape.m <= 9:
+        count = _write_chunks(words, bytes, _digit_lists, ", ")
+    else:  # a list of ints prints as JSON
+        count = _write_chunks(words, lambda word: str(list(word)), ", ".join, ", ")
     sys.stdout.write('], "moves": [')
     _write_chunks(moves, str, ", ".join, ", ")
-    sys.stdout.write("]" + tail + "\n")
+    payload["complete"] = count == size
+    sys.stdout.write("]" + json.dumps(payload).split(_LISTS)[1] + "\n")
+    return count
+
+
+def _walk_words(walk: greedy.GreedyWalk, moves: list | None, visit) -> int:
+    """Feed the words of a greedy walk to `visit` as they are chosen, and
+    return how many there were.  With `moves`, append to it each move's
+    `_move_json`, made once per distinct move."""
+    made: dict = {}
+    count = 0
+    for count, (word, move) in enumerate(walk, 1):
+        visit(word)
+        if moves is not None and move is not None:
+            text = made.get(move)
+            if text is None:
+                text = made[move] = _move_json(move)
+            moves.append(text)
+    return count
 
 
 # --- subcommands ------------------------------------------------------------
@@ -126,46 +156,66 @@ def _choose_engine(args) -> tuple[Shape, frozenset, str]:
     return shape, pats, engine
 
 
-def _build_run(args, shape, pats, engine: str) -> GrayCodeRun:
-    """The run that `generate` prints and `verify` checks."""
+def _start(args):
+    return parse_word(args.start) if args.start is not None else None
+
+
+def _setup(args, shape, pats, engine: str):
+    """The patterns and language size of the run that `generate` streams
+    and `verify` checks, and its greedy walk (None for the loopless
+    engine).  Every refusal comes here, before any output."""
     if engine == "loopless":
-        return stirling.loopless_run(shape)
-    start = parse_word(args.start) if args.start is not None else None
-    return greedy.generate_greedy(shape, pats, start=start, cap=args.cap)
+        stirling._check_output(shape)
+        return oracle.STIRLING_PATTERNS, oracle.stirling_count(shape), None
+    walk = greedy.greedy_walk(shape, pats, start=_start(args), cap=args.cap)
+    return walk.patterns, walk.size, walk
 
 
 def _cmd_generate(args) -> int:
     shape, pats, engine = _choose_engine(args)
-    if engine == "loopless" and args.format != "dot":
-        # a loopless run is always complete; its words and moves come from
-        # the loop as it runs
-        stirling._check_output(shape)
-        run = GrayCodeRun(shape, oracle.STIRLING_PATTERNS, (), (), True, EXHAUSTED)
-        words = functools.partial(stirling.generate_loopless, shape)
-        moves = functools.partial(stirling.loopless_moves, shape, _move_json)
-    else:
-        run = _build_run(args, shape, pats, engine)
-        # words as lists, as the loop gives them
-        words, moves = _each(map(list, run.words)), _each(map(_move_json, run.moves))
-    if args.format == "json":
-        _write_run_json(run, engine, words, moves)
-    elif args.format == "dot":
+    if args.format == "dot":
+        if engine == "loopless":
+            run = stirling.loopless_run(shape)
+        else:
+            run = greedy.generate_greedy(shape, pats, start=_start(args), cap=args.cap)
         print(trees.export_dot(run), end="")
-    elif shape.m <= 9:  # one `format_word` line per word
-        _write_chunks(words, bytes, _digit_lines)
+        complete = run.complete
     else:
-        _write_chunks(words, format_word, _lines)
-    if args.expect_complete and not run.complete:
+        pats, size, walk = _setup(args, shape, pats, engine)
+        if walk is None:
+            # the loop runs once for the words and, in JSON, once for the moves
+            words = functools.partial(stirling.generate_loopless, shape)
+            moves = lambda add: stirling.loopless_steps(
+                shape, _move_json, lambda _, move: move and add(move)
+            )
+        else:
+            # the walk runs once; JSON keeps the moves until the words are out
+            kept: list[str] = []
+            words = functools.partial(_walk_words, walk, kept if args.format == "json" else None)
+            moves = _each(kept)
+        if args.format == "json":
+            count = _write_run_json(shape, pats, engine, words, moves, size)
+        elif shape.m <= 9:  # one `format_word` line per word
+            count = _write_chunks(words, bytes, _digit_lines)
+        else:
+            count = _write_chunks(words, format_word, _lines)
+        complete = count == size
+    if args.expect_complete and not complete:
         print("run is incomplete", file=sys.stderr)
         return 1
     return 0
 
 
 def _cmd_verify(args) -> int:
-    run = _build_run(args, *_choose_engine(args))
-    report = greedy.verify_gray_code(run, args.cap)
-    print(f"words: {len(run.words)}")
-    print(f"complete: {run.complete}")
+    shape, pats, engine = _choose_engine(args)
+    pats, size, walk = _setup(args, shape, pats, engine)
+    if walk is None:
+        feed = functools.partial(stirling.loopless_steps, shape, lambda move: move)
+    else:
+        feed = lambda visit: collections.deque(itertools.starmap(visit, walk), maxlen=0)
+    count, report = greedy.verify_feed(shape, pats, feed, args.cap)
+    print(f"words: {count}")
+    print(f"complete: {count == size}")
     for name in ("all_member", "all_distinct", "exhaustive", "moves_valid", "transpositions_only"):
         print(f"{name}: {getattr(report, name)}")
     print(f"ok: {report.ok}")
@@ -237,31 +287,34 @@ def _cmd_zigzag(args) -> int:
 
 def _cmd_trees(args) -> int:
     shape = parse_shape(args.shape)
-    # the trees are made as they are written: the text form never holds them all
+    # the trees are made as they are written: the text form never holds them
+    # all, nor, for the greedy walk of `kary`, the words
     if args.kind == "stirling":
         words = stirling.stirling_sequence(shape)
-        forest = map(trees.stirling_word_to_tree, words)
+        tree = trees.stirling_word_to_tree
     else:
         if len(set(shape.multiplicities)) != 1:
             raise ValueError("--kind kary needs a shape with equal multiplicities")
         k = shape.multiplicities[0] + 1
-        words = greedy.generate_greedy(shape, oracle.KCATALAN_PATTERNS, cap=args.cap).words
-        forest = (trees.kcatalan_word_to_tree(w, k) for w in words)
+        walk = greedy.greedy_walk(shape, oracle.KCATALAN_PATTERNS, cap=args.cap)
+        words = (word for word, _ in walk)
+        tree = lambda word: trees.kcatalan_word_to_tree(word, k)
     if args.format == "json":
+        words = list(words)
         payload = {
             "format": 1,
             "shape": list(shape.multiplicities),
             "kind": args.kind,
             "words": [list(w) for w in words],
-            "trees": [str(t) for t in forest],
+            "trees": [str(tree(w)) for w in words],
         }
         if args.kind == "kary":
             payload["k"] = k
         print(json.dumps(payload))
     elif args.format == "dot":
-        print(trees.export_dot(list(forest)), end="")
+        print(trees.export_dot([tree(w) for w in words]), end="")
     else:
-        _write_chunks(_each(forest), str, _lines)
+        _write_chunks(_each(map(tree, words)), str, _lines)
     return 0
 
 

@@ -11,15 +11,21 @@ word is applied.  It halts when no such bump exists.
 Started from the nondecreasing word of a zig-zag language this yields a
 bump Gray code; on other languages the run may stop early, which is
 reported rather than raised.
+The engine is a walk (`greedy_walk`) that yields each word as it is
+chosen, so a reader can take the words while it runs; `generate_greedy`
+collects the walk into a `GrayCodeRun`.
 
-Also here: Gray-code verification, a run's projection onto the parent
-language, and the JSON form of a run.
+Also here: one-pass Gray-code verification, a run's projection onto the
+parent language, and the JSON form of a run.
 """
 
 from __future__ import annotations
 
+import collections
+import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from . import oracle
 from .bumps import LEFT, RIGHT, BumpError, BumpMove, classify_move
@@ -80,21 +86,14 @@ class GrayCodeReport:
         )
 
 
-def _scan(
-    shape: Shape, start: Word, member: Callable[[Word], bool]
-) -> tuple[list[Word], list[BumpMove]]:
-    words = [start]
-    moves: list[BumpMove] = []
+def _scan(shape: Shape, start: Word, member: Callable[[Word], bool]):
+    """Yield each word after `start` with the move into it, as it is chosen."""
     visited = {start}
     w = start
-    while True:
-        step = _next_bump(shape, w, member, visited)
-        if step is None:
-            return words, moves
-        w, move = step
+    while (step := _next_bump(shape, w, member, visited)) is not None:
+        w = step[0]
         visited.add(w)
-        words.append(w)
-        moves.append(move)
+        yield step
 
 
 def _next_bump(
@@ -145,15 +144,32 @@ def _bump_blocks(shape: Shape, w: Word):
             lead -= 1
 
 
-def generate_greedy(
+class GreedyWalk:
+    """A greedy run before it is walked.  Iterating it runs the walk,
+    yielding each visited word with the move into it (None for `start`) as
+    the word is chosen; each iteration walks afresh.  `size` is the
+    language's, so a walk of `size` words is complete.  (A plain class: a
+    dataclass would add a millisecond to every command's start.)"""
+
+    def __init__(self, shape: Shape, patterns: frozenset[Word], start: Word, member, size: int):
+        self.shape, self.patterns, self.start = shape, patterns, start
+        self.member, self.size = member, size
+
+    def __iter__(self) -> Iterator[tuple[Word, Optional[BumpMove]]]:
+        yield self.start, None
+        yield from _scan(self.shape, self.start, self.member)
+
+
+def greedy_walk(
     shape: Shape,
     patterns=frozenset(),
     *,
     start: Word | None = None,
     cap: int | None = None,
-) -> GrayCodeRun:
-    """Run the greedy engine from `start` (default: nondecreasing word)
-    over the language of words avoiding `patterns`."""
+) -> GreedyWalk:
+    """Set up the greedy engine from `start` (default: nondecreasing word)
+    over the language of words avoiding `patterns`.  Every refusal (a bad
+    start, the cap) is raised here, before any word is walked."""
     word = start if start is not None else nondecreasing_word(shape)
     validate_word(shape, word)
     pats = normalize_patterns(patterns)
@@ -174,93 +190,151 @@ def generate_greedy(
     else:
         lang = frozenset(oracle.language(shape, live, cap))
         member, size = lang.__contains__, len(lang)
-    words, moves = _scan(shape, word, member)
-    complete = len(words) == size
+    return GreedyWalk(shape, pats, word, member, size)
+
+
+def generate_greedy(
+    shape: Shape,
+    patterns=frozenset(),
+    *,
+    start: Word | None = None,
+    cap: int | None = None,
+) -> GrayCodeRun:
+    """The greedy run from `start` (default: nondecreasing word) over the
+    language of words avoiding `patterns`: `greedy_walk`, walked whole."""
+    walk = greedy_walk(shape, patterns, start=start, cap=cap)
+    words, moves = [], []
+    for word, move in walk:
+        words.append(word)
+        moves.append(move)
+    complete = len(words) == walk.size
     return GrayCodeRun(
         shape,
-        pats,
+        walk.patterns,
         tuple(words),
-        tuple(moves),
+        tuple(moves[1:]),
         complete,
         EXHAUSTED if complete else NO_NEW_BUMP,
     )
 
 
 def verify_gray_code(run: GrayCodeRun, cap: int | None = None) -> GrayCodeReport:
-    """Check a run: membership (against the live patterns), distinctness,
-    exhaustiveness (by count: the closed form, else the generating tree's;
-    None over the cap), and that every transition classifies as exactly
-    the recorded bump."""
-    counterexamples: dict = {}
+    """Check a run in one pass over its words and moves (`verify_feed`).
+    Moves that do not number one fewer than the words are not classified."""
+    words, moves = run.words, run.moves
+    aligned = len(moves) == len(words) - 1
+    recorded = (None,) + moves if aligned else itertools.repeat(None)
+    _, report = verify_feed(
+        run.shape,
+        run.patterns,
+        lambda visit: collections.deque(map(visit, words, recorded), maxlen=0),
+        cap,
+        bad_moves=None if aligned else ("length", len(moves), len(words)),
+    )
+    return report
 
-    all_member = True
-    member = oracle.member_test(oracle.live_patterns(run.shape, run.patterns))
-    for k, w in enumerate(run.words):
-        try:
-            validate_word(run.shape, w)
-        except WordError:
-            all_member = False
-        else:
-            all_member = member(w)
-        if not all_member:
-            counterexamples["all_member"] = (k, w)
-            break
 
-    all_distinct = True
-    seen: dict[Word, int] = {}
-    for k, w in enumerate(run.words):
-        if w in seen:
-            all_distinct = False
-            counterexamples["all_distinct"] = (seen[w], k, w)
-            break
-        seen[w] = k
+def verify_feed(
+    shape: Shape,
+    patterns: frozenset[Word],
+    feed: Callable[[Callable[[Word, Optional[BumpMove]], None]], None],
+    cap: int | None = None,
+    *,
+    bad_moves=None,
+) -> tuple[int, GrayCodeReport]:
+    """Check a run given as a feed; return its word count and its report.
+
+    `feed(visit)` calls `visit(word, move)` for each word in order, with
+    the move recorded into it (ignored for the first word); the word may be
+    a list that the feed reuses.  One pass checks, per word: membership
+    (against the live patterns), distinctness (each word kept as its packed
+    bytes), that the transition into it classifies as exactly the recorded
+    bump, and how many positions that transition changes.  The first copy
+    of a repeated word is found by running the feed again.  Exhaustiveness
+    is decided by count: the closed form, else the generating tree's; None
+    over the cap.  `bad_moves` is a counterexample already found against
+    the moves, which are then not classified.
+    """
+    counterexamples: dict = {} if bad_moves is None else {"moves_valid": bad_moves}
+    member = oracle.member_test(oracle.live_patterns(shape, patterns))
+    seen: set = set()
+    k = -1
+    prev = repeat = None
+    all_member = transpositions_only = True
+    moves_valid = bad_moves is None
+
+    def visit(word, move) -> None:
+        nonlocal k, prev, repeat, all_member, moves_valid, transpositions_only
+        k += 1
+        if all_member:
+            try:
+                validate_word(shape, word)
+            except WordError:
+                all_member = False
+            else:
+                all_member = member(word)
+            if not all_member:
+                counterexamples["all_member"] = (k, tuple(word))
+        key = _key(word)
+        distinct = len(seen)
+        seen.add(key)
+        if repeat is None and len(seen) == distinct:
+            repeat = k, key, tuple(word)
+        if k:
+            if moves_valid:
+                try:
+                    got = classify_move(prev, key)
+                except BumpError:  # a word outside the shape: no bump reaches it
+                    got = None
+                if got != move:
+                    moves_valid = False
+                    counterexamples["moves_valid"] = (k - 1, move, got)
+            if transpositions_only:
+                diff = sum(map(operator.ne, prev, key))
+                if diff != 2:
+                    transpositions_only = False
+                    counterexamples["transpositions_only"] = (k - 1, diff)
+        prev = key
+
+    feed(visit)
+    if repeat is not None:
+        at, key, word = repeat
+        same: list[bool] = []
+        feed(lambda w, _: same.append(_key(w) == key))
+        counterexamples["all_distinct"] = (same.index(True), at, word)
 
     exhaustive: Optional[bool]
     try:
-        oracle._check_cap(run.shape, cap)
+        oracle._check_cap(shape, cap)
     except SizeLimitError:
         exhaustive = None
     else:
-        size = oracle.formula_count(run.shape, run.patterns)
+        size = oracle.formula_count(shape, patterns)
         if size is None:
-            size = oracle.count_avoiding(run.shape, run.patterns, cap)
+            size = oracle.count_avoiding(shape, patterns, cap)
         # members cover the language once as many distinct ones as its size
         # were visited
-        visited = len(set(run.words))
-        exhaustive = all_member and visited == size
+        exhaustive = all_member and len(seen) == size
         if not exhaustive:
-            counterexamples["exhaustive"] = {"visited": visited, "language": size}
+            counterexamples["exhaustive"] = {"visited": len(seen), "language": size}
 
-    moves_valid = len(run.moves) == len(run.words) - 1
-    if not moves_valid:
-        counterexamples["moves_valid"] = ("length", len(run.moves), len(run.words))
-    else:
-        for k in range(len(run.words) - 1):
-            try:
-                got = classify_move(run.words[k], run.words[k + 1])
-            except BumpError:  # a word outside the shape: no bump reaches it
-                got = None
-            if got != run.moves[k]:
-                moves_valid = False
-                counterexamples["moves_valid"] = (k, run.moves[k], got)
-                break
-
-    transpositions_only = True
-    for k in range(len(run.words) - 1):
-        diff = sum(1 for a, b in zip(run.words[k], run.words[k + 1]) if a != b)
-        if diff != 2:
-            transpositions_only = False
-            counterexamples["transpositions_only"] = (k, diff)
-            break
-
-    return GrayCodeReport(
+    return k + 1, GrayCodeReport(
         all_member=all_member,
-        all_distinct=all_distinct,
+        all_distinct=repeat is None,
         exhaustive=exhaustive,
         moves_valid=moves_valid,
         transpositions_only=transpositions_only,
         counterexamples=counterexamples,
     )
+
+
+def _key(word) -> bytes | Word:
+    """A word's distinctness key: its packed bytes, or the tuple when a
+    digit lies outside 0..255."""
+    try:
+        return bytes(word)
+    except (ValueError, TypeError):
+        return tuple(word)
 
 
 def project_to_parent(run: GrayCodeRun) -> list[Word]:

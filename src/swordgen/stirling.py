@@ -11,8 +11,9 @@ value adjacent-or-separated only by smaller digits, which is exactly
 avoidance of 212.
 
 `_loopless` is the one implementation of the loop: it counts, feeds
-the words (`generate_loopless`) or the moves (`loopless_moves`) to a
-consumer as it runs, and produces the per-visit variable trace.
+the words (`generate_loopless`), or the words with their moves
+(`loopless_steps`), to a consumer as it runs, and produces the
+per-visit variable trace.
 `step_stats` traces that same loop and counts the lines each pass runs;
 like any line count, it does not see work hidden inside one line, such
 as a call or a slice.
@@ -159,23 +160,29 @@ def loopless_run(shape: Shape) -> GrayCodeRun:
     )
 
 
-def loopless_moves(
-    shape: Shape, make: Callable[[BumpMove], object], visit: Callable[[object], None]
+def loopless_steps(
+    shape: Shape,
+    make: Callable[[BumpMove], object],
+    visit: Callable[[list[int], object], None],
 ) -> None:
-    """Feed `make(move)` for every move of the visit order to `visit`, in
-    O(1) per step.  A move depends only on (v, d, i), and there are at most
-    2mn of them, so `make` runs once per distinct move."""
+    """Feed every word with the move into it, as `visit(perm, made)`, in
+    O(1) per step: `made` is `make(move)`, None for the first word, and
+    `perm` is the live word list, as `generate_loopless` gives it.  A move
+    depends only on (v, d, i), and there are at most 2mn of them, so `make`
+    runs once per distinct move."""
     s = (0,) + shape.multiplicities
     t = (0,) + shape.prefix
     made: dict[tuple[int, int, int], object] = {}
+    into = None
 
     def grab(perm, v, u, i, j, left, inv, fs, dirs):
+        nonlocal into
+        visit(perm, into)
         if u is not None:
             key = (v, dirs[v], i)
-            got = made.get(key)
-            if got is None:
-                got = made[key] = make(_move_from_state(s, t, *key))
-            visit(got)
+            into = made.get(key)
+            if into is None:
+                into = made[key] = make(_move_from_state(s, t, *key))
 
     _loopless(shape, grab)
 

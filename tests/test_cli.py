@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import swordgen
-from swordgen import cli, oracle, stirling
+from swordgen import cli, greedy, oracle, stirling
 from swordgen.cli import parse_and_dispatch
 from swordgen.greedy import generate_greedy, run_from_payload, run_to_payload
 from swordgen.oracle import all_shapes, multinomial, stirling_count
@@ -123,6 +123,16 @@ class Discard(io.TextIOBase):
         return len(text)
 
 
+class Replay:
+    """A greedy walk that replays a finished run."""
+
+    def __init__(self, run):
+        self.run, self.patterns, self.size = run, run.patterns, len(run.words)
+
+    def __iter__(self):
+        return zip(self.run.words, (None,) + self.run.moves)
+
+
 class TestStream:
     def test_stream_equals_the_materialised_run(self, capsys):
         for n in range(1, 9):
@@ -225,16 +235,66 @@ class TestStream:
 
     def test_greedy_comma_form(self, capsys, monkeypatch):
         # m = 10 prints words in comma form.  The run (16,796 words, sized by
-        # the k-Catalan formula) is made once and handed to the command; a
-        # language without a closed form on 1^10 takes about a minute to list
+        # the k-Catalan formula) is made once and replayed to the command as
+        # its walk; a language without a closed form on 1^10 takes about a
+        # minute to list
         run = generate_greedy(make_shape((1,) * 10), ("132", "121"))
-        monkeypatch.setattr(swordgen.greedy, "generate_greedy", lambda *args, **kwargs: run)
+        monkeypatch.setattr(swordgen.greedy, "greedy_walk", lambda *args, **kwargs: Replay(run))
         argv = ("generate", "--shape", "1^10", "--avoid", "132,121")
         _, out, _ = run_cli(capsys, *argv)
         assert out == "".join(format_word(w) + "\n" for w in run.words)
         assert out.startswith("1,2,3,4,5,6,7,8,9,10\n")
         _, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert out == json.dumps(run_to_payload(run, "greedy")) + "\n"
+
+    def test_greedy_stops_with_the_reader(self, monkeypatch):
+        # 40,320 words; the first write fails, as to a reader that has gone
+        scan, walked = greedy._scan, []
+
+        def counted(*args):
+            for step in scan(*args):
+                walked.append(step)
+                yield step
+
+        def write(text):
+            raise BrokenPipeError
+
+        monkeypatch.setattr(greedy, "_scan", counted)
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=write))
+        with pytest.raises(BrokenPipeError):
+            parse_and_dispatch(["generate", "--shape", "1^8", "--avoid", "12121"])
+        # the start and the steps after it
+        assert 1 + len(walked) <= cli.CHUNK + 1
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("--shape", "1^7", "--cap", "5039"), 3),
+            (("--shape", "1,1,1", "--avoid", "231", "--start", "231"), 2),
+        ],
+        ids=["cap", "start"],
+    )
+    def test_greedy_refusal_writes_nothing(self, capsys, argv, code, fmt):
+        got, out, err = run_cli(capsys, "generate", *argv, "--format", fmt)
+        assert (got, out) == (code, "")
+        assert err.startswith("error: ")
+
+    def test_verify_builds_no_run(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify built the whole run")
+
+        monkeypatch.setattr(stirling, "loopless_run", refuse)
+        monkeypatch.setattr(greedy, "generate_greedy", refuse)
+        for argv in (
+            ("--shape", "2,1,3", "--avoid", "212"),
+            ("--shape", "2,1,3", "--avoid", "212", "--engine", "greedy"),
+            ("--shape", "2,1,2", "--avoid", "231", "--start", "33211"),
+            ("--shape", "1,1,1", "--avoid", "312"),
+        ):
+            code, out, _ = run_cli(capsys, "verify", *argv)
+            assert code in (0, 1)
+            assert "all_distinct: True" in out.splitlines()
 
     def test_closed_pipe_ends_quietly(self):
         # 2,027,025 words, but the reader leaves after the first line
@@ -526,6 +586,17 @@ class TestTreesAndPath:
         assert sorted(payload["trees"]) == sorted(
             str(t) for t in all_kary_trees(3, 2)
         )
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+    def test_kary_trees_take_the_walk(self, capsys, monkeypatch, fmt):
+        def refuse(*args, **kwargs):
+            raise AssertionError("trees built the whole greedy run")
+
+        monkeypatch.setattr(greedy, "generate_greedy", refuse)
+        code, out, _ = run_cli(capsys, "trees", "--shape", "2^3", "--kind", "kary", "--format", fmt)
+        assert code == 0
+        if fmt == "text":
+            assert len(out.splitlines()) == 12  # the 3-Catalan number for m = 3
 
     def test_kary_needs_uniform_shape(self, capsys):
         code, _, err = run_cli(capsys, "trees", "--shape", "2,1", "--kind", "kary")
