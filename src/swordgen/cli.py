@@ -100,6 +100,11 @@ def _digit_lists(kept: list[bytes]) -> str:
     return "[" + text.replace(", \n, ", "], [") + "]"
 
 
+def _json_items(kept: list) -> str:
+    # a list's JSON without its brackets: the items joined by ", "
+    return json.dumps(kept)[1:-1]
+
+
 def _move_json(move) -> str:
     return json.dumps(move.to_json())
 
@@ -247,17 +252,37 @@ def _trace_cell(name: str, value) -> str:
 
 def _cmd_trace(args) -> int:
     shape = parse_shape(args.shape)
-    rows = stirling.trace(shape)
+    stirling._check_output(shape)  # before any output
+    rows = functools.partial(stirling.trace_rows, shape)
     names = [f.name for f in dataclasses.fields(stirling.TraceRow)]
     if args.format == "json":
-        # tuples serialise as JSON arrays
-        table = [{name: getattr(r, name) for name in names} for r in rows]
-        print(json.dumps({"format": 1, "shape": list(shape.multiplicities), "rows": table}))
+        # the payload as `json.dumps` writes it whole, with the rows written
+        # in chunks as the loop runs; tuples serialise as JSON arrays
+        head, tail = json.dumps(
+            {"format": 1, "shape": list(shape.multiplicities), "rows": []}
+        ).split('"rows": []')
+        sys.stdout.write(head + '"rows": [')
+        _write_chunks(rows, lambda row: dict(zip(names, row)), _json_items, ", ")
+        sys.stdout.write("]" + tail + "\n")
         return 0
-    table = [names] + [[_trace_cell(name, getattr(r, name)) for name in names] for r in rows]
-    widths = [max(len(row[c]) for row in table) for c in range(len(table[0]))]
-    for row in table:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+
+    def cells(row) -> list[str]:
+        return [_trace_cell(name, value) for name, value in zip(names, row)]
+
+    def line(texts) -> str:
+        return "  ".join(text.ljust(w) for text, w in zip(texts, widths)).rstrip()
+
+    # the loop runs twice: once for the column widths, then for the lines
+    widths = [len(name) for name in names]
+
+    def widen(row) -> None:
+        for c, cell in enumerate(cells(row)):
+            if len(cell) > widths[c]:
+                widths[c] = len(cell)
+
+    rows(widen)
+    sys.stdout.write(line(names) + "\n")
+    _write_chunks(rows, lambda row: line(cells(row)), _lines)
     return 0
 
 
@@ -268,12 +293,17 @@ def _cmd_zigzag(args) -> int:
     elif args.mode != "syntactic":
         raise ValueError(f"--mode {args.mode} needs --shape")
     negative = False
+    semantic = None
+    if args.mode in ("semantic", "both"):
+        # decided before any verdict is printed, so that a refusal over the
+        # cap prints nothing
+        semantic = zigzag.semantic_zigzag(shape, pats, args.cap)
     if args.mode in ("syntactic", "both"):
         verdict = zigzag.syntactic_zigzag(pats)
         print(f"syntactic: {verdict}")
         negative = negative or not verdict
-    if args.mode in ("semantic", "both"):
-        ok, witness = zigzag.semantic_zigzag(shape, pats, args.cap)
+    if semantic is not None:
+        ok, witness = semantic
         print(f"semantic: {ok}")
         if witness is not None:
             w, i, direction, result = witness

@@ -12,11 +12,11 @@ avoidance of 212.
 
 `_loopless` is the one implementation of the loop: it counts, feeds
 the words (`generate_loopless`), or the words with their moves
-(`loopless_steps`), to a consumer as it runs, and produces the
-per-visit variable trace.
-`step_stats` traces that same loop and counts the lines each pass runs;
-like any line count, it does not see work hidden inside one line, such
-as a call or a slice.
+(`loopless_steps`), to a consumer as it runs, and feeds the per-visit
+variable trace (`trace_rows`).
+`step_stats` traces that same loop and counts the lines run from one
+visit to the next; like any line count, it does not see work hidden
+inside one line, such as a call or a slice.
 """
 
 from __future__ import annotations
@@ -56,6 +56,11 @@ def _loopless(shape: Shape, on_visit=None) -> int:
     live state exactly as it stands when the visit fires: the move
     described by (v, u, i, j) is applied to `perm` right after the
     callback returns.  The final visit passes v = 1 and u = i = j = None.
+
+    The largest value m is the fastest digit of the Gray code: once a pass
+    moves m off one end of its sweep, m alone moves for the next t[m] - 1
+    steps, one place each in the same direction.  An inner loop runs those
+    steps with v, d and the width fixed, and the sweep's end flips m once.
     """
     m, s, t, perm, left, inv, fs, dirs = _initial_state(shape)
     count = 0
@@ -65,32 +70,50 @@ def _loopless(shape: Shape, on_visit=None) -> int:
     while True:
         v = fs[m]
         fs[m] = m
-        if v <= 1:
-            break
         d = dirs[v]
         if d == 1:
             i = left[v]
-            j = left[v] + s[v]
+            j = i + s[v]
         else:
-            i = left[v] + s[v] - 1
             j = left[v] - 1
-        u = perm[j - 1]
+            i = j + s[v]
+        # the final visit, v = 1, runs the same lines as any other: it
+        # reads harmless cells above and reports no move
+        if v > 1:
+            u = perm[j - 1]
+        else:
+            u = i = j = None
+        count += 1
         if on_visit is not None:
             on_visit(perm, v, u, i, j, left, inv, fs, dirs)
-        count += 1
-        perm[i - 1] = u
-        perm[j - 1] = v
+        if u is None:
+            return count
+        perm[i - 1], perm[j - 1] = u, v
         left[v] += d
         if left[u] == j:
-            left[u] -= d * s[v]
+            left[u] = i  # u's leftmost copy moves over the run of v, to i
         inv[v] -= d
+        # m moves on alone for the rest of its sweep, when it has one
+        # (t[m] > 1): its run slides by one place per step, so i and j
+        # advance by d.  A step of the sweep runs as many lines from its
+        # visit to the flip test as a pass runs from its own, which keeps
+        # the lines between two visits the same with or without a
+        # smaller value's step between two sweeps (`step_stats`)
+        if v == m and t[m] > 1:
+            count += t[m] - 1
+            for j in range(j + d, j + d * t[m], d):
+                i += d
+                u = perm[j - 1]
+                if on_visit is not None:
+                    on_visit(perm, m, u, i, j, left, inv, fs, dirs)
+                perm[i - 1] = u
+                perm[j - 1] = m
+                left[m] += d
+                if left[u] == j:
+                    left[u] = i
+                inv[m] -= d
         if inv[v] == 0 or inv[v] == t[v]:
-            dirs[v] = -d
-            fs[v] = fs[v - 1]
-            fs[v - 1] = v - 1
-    if on_visit is not None:
-        on_visit(perm, v, None, None, None, left, inv, fs, dirs)
-    return count + 1
+            dirs[v], fs[v], fs[v - 1] = -d, fs[v - 1], v - 1
 
 
 def generate_loopless(
@@ -202,44 +225,54 @@ class TraceRow:
     dirs: tuple[int, ...]
 
 
-def trace(shape: Shape) -> list[TraceRow]:
-    """Per-visit snapshots of (perm, v, u, i, j, left, inv, fs, dirs)."""
+def trace_rows(shape: Shape, visit: Callable[[tuple], None]) -> int:
+    """Feed each visit's (perm, v, u, i, j, left, inv, fs, dirs) to `visit`
+    as one tuple, the fields of a `TraceRow`, and return the visit count."""
     _check_output(shape)
-    rows: list[TraceRow] = []
 
     def grab(perm, v, u, i, j, *arrays):
         # the arrays left, inv, fs and dirs, without their unused slot 0
-        rows.append(TraceRow(tuple(perm), v, u, i, j, *(tuple(a[1:]) for a in arrays)))
+        visit((tuple(perm), v, u, i, j, *(tuple(a[1:]) for a in arrays)))
 
-    _loopless(shape, grab)
+    return _loopless(shape, grab)
+
+
+def trace(shape: Shape) -> list[TraceRow]:
+    """Per-visit snapshots of (perm, v, u, i, j, left, inv, fs, dirs)."""
+    rows: list[TraceRow] = []
+    trace_rows(shape, lambda row: rows.append(TraceRow(*row)))
     return rows
 
 
 def step_stats(shape: Shape) -> tuple[int, int]:
-    """(visit count, most lines one pass of the loop runs): a maximum that
-    stays constant across shapes is the loopless claim in checkable form.
-    Traces `_loopless` itself, handing each word to a no-op visitor whose
-    lines are not counted; the lines before the loop and the exit pass
-    are not recorded."""
+    """(visit count, most lines run from one visit to the next): a maximum
+    that stays constant across shapes is the loopless claim in checkable
+    form.  Traces `_loopless` itself, handing each word to a no-op visitor
+    whose lines are not counted; every line that calls `on_visit` marks a
+    visit, the final one too.  The lines before the first visit and after
+    the last are not recorded."""
     loop = _loopless  # looked up per call, so a test can substitute it
     lines, first = inspect.getsourcelines(loop)
-    (node,) = [n for n in ast.walk(ast.parse("".join(lines))) if isinstance(n, ast.While)]
-    first += node.body[0].lineno - 1  # a pass starts at the body's first line
+    marks = {
+        first + n.lineno - 1
+        for n in ast.walk(ast.parse("".join(lines)))
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "on_visit"
+    }
     steps = max_steps = 0
 
     def count_lines(frame, event, arg):
         nonlocal steps, max_steps
-        if frame.f_lineno == first:
+        if frame.f_lineno in marks:
             max_steps = max(max_steps, steps)
             steps = 0
         steps += 1
         return count_lines
 
-    def wait_for_loop(frame, event, arg):
-        return count_lines(frame, event, arg) if frame.f_lineno == first else wait_for_loop
+    def wait_for_visit(frame, event, arg):
+        return count_lines(frame, event, arg) if frame.f_lineno in marks else wait_for_visit
 
     caller = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: wait_for_loop if frame.f_code is loop.__code__ else None)
+    sys.settrace(lambda frame, event, arg: wait_for_visit if frame.f_code is loop.__code__ else None)
     try:
         count = loop(shape, lambda *_: None)
     finally:

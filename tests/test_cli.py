@@ -535,6 +535,22 @@ class TestTrace:
         assert payload["rows"][0]["perm"] == [1, 1, 2, 3, 3, 3]
         assert payload["rows"][-1]["u"] is None
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_memory_stays_flat(self, monkeypatch, fmt):
+        # the rows go out a chunk at a time: with chunks of 64 rows, the 720
+        # rows of 1^6 peaked at 0.96 MB (text) and 2.8 MB (JSON) when the
+        # whole table was built first
+        monkeypatch.setattr(cli, "CHUNK", 64)
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(Discard()):
+                code = parse_and_dispatch(["trace", "--shape", "1^6", "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 500_000
+
 
 class TestZigzag:
     def test_both_modes(self, capsys):
@@ -561,6 +577,14 @@ class TestZigzag:
     def test_semantic_needs_shape(self, capsys):
         code, _, err = run_cli(capsys, "zigzag", "--avoid", "231", "--mode", "semantic")
         assert code == 2 and "--shape" in err
+
+    def test_both_refuses_over_the_cap_before_any_verdict(self, capsys):
+        code, out, err = run_cli(
+            capsys, "zigzag", "--shape", "1^3", "--avoid", "231", "--cap", "0"
+        )
+        assert code == 3
+        assert out == ""
+        assert "cap" in err
 
     def test_both_needs_shape_before_any_verdict(self, capsys):
         code, out, err = run_cli(capsys, "zigzag", "--avoid", "231", "--mode", "both")

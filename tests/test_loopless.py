@@ -1,8 +1,11 @@
+import hashlib
 import inspect
 import linecache
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from swordgen import stirling
 from swordgen.bumps import LEFT, RIGHT, classify_move
@@ -10,6 +13,7 @@ from swordgen.greedy import verify_gray_code
 from swordgen.oracle import all_shapes, language, stirling_count
 from swordgen.stirling import (
     TraceRow,
+    _initial_state,
     generate_loopless,
     loopless_run,
     step_stats,
@@ -18,6 +22,91 @@ from swordgen.stirling import (
 )
 from swordgen.trees import hamilton_path, inversion_vector
 from swordgen.words import make_shape
+
+
+def reference_loopless(shape, on_visit=None) -> int:
+    """The loop with one pass of the `while` per visit and the final visit
+    made after the loop: the reference that `stirling._loopless`, which
+    sweeps m in an inner loop, must equal at every visit."""
+    m, s, t, perm, left, inv, fs, dirs = _initial_state(shape)
+    count = 0
+    while True:
+        v = fs[m]
+        fs[m] = m
+        if v <= 1:
+            break
+        d = dirs[v]
+        if d == 1:
+            i = left[v]
+            j = left[v] + s[v]
+        else:
+            i = left[v] + s[v] - 1
+            j = left[v] - 1
+        u = perm[j - 1]
+        if on_visit is not None:
+            on_visit(perm, v, u, i, j, left, inv, fs, dirs)
+        count += 1
+        perm[i - 1] = u
+        perm[j - 1] = v
+        left[v] += d
+        if left[u] == j:
+            left[u] -= d * s[v]
+        inv[v] -= d
+        if inv[v] == 0 or inv[v] == t[v]:
+            dirs[v] = -d
+            fs[v] = fs[v - 1]
+            fs[v - 1] = v - 1
+    if on_visit is not None:
+        on_visit(perm, v, None, None, None, left, inv, fs, dirs)
+    return count + 1
+
+
+def visit_states(loop, shape):
+    """The return value of `loop` and every visit's full state."""
+    states = []
+
+    def grab(perm, v, u, i, j, left, inv, fs, dirs):
+        states.append((tuple(perm), v, u, i, j, tuple(left), tuple(inv), tuple(fs), tuple(dirs)))
+
+    return loop(shape, grab), states
+
+
+def stream_digest(loop, shape):
+    """The return value of `loop` and the sha256 of its word stream."""
+    digest = hashlib.sha256()
+    count = loop(shape, lambda perm, *_: digest.update(bytes(perm)))
+    return count, digest.hexdigest()
+
+
+@st.composite
+def shapes_up_to_11(draw):
+    mult = draw(st.lists(st.integers(1, 11), min_size=1, max_size=11).filter(lambda s: sum(s) <= 11))
+    shape = make_shape(tuple(mult))
+    assume(stirling_count(shape) <= 20_000)  # some have millions of words
+    return shape
+
+
+class TestReferenceLoop:
+    def test_every_visit_matches_on_every_shape_up_to_8(self):
+        for total in range(1, 9):
+            for shape in all_shapes(total):
+                assert visit_states(stirling._loopless, shape) == visit_states(
+                    reference_loopless, shape
+                ), shape.multiplicities
+                assert stirling._loopless(shape) == reference_loopless(shape)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shapes_up_to_11())
+    def test_word_streams_match(self, shape):
+        assert stream_digest(stirling._loopless, shape) == stream_digest(reference_loopless, shape)
+
+    def test_word_stream_of_2_8(self):
+        # the digest `stream_digest(reference_loopless, 2^8)` gives
+        assert stream_digest(stirling._loopless, make_shape((2,) * 8)) == (
+            2_027_025,
+            "06bcb07591f25051547cdf38d2c539a0868fd9a7e73926fb4fd4ff7f91bed716",
+        )
+
 
 # every visit of the (2,1,3) run with its full variable state
 TRACE_213 = [
@@ -163,6 +252,17 @@ class TestStepStats:
             assert count == stirling_count(shape)
             maxima.add(max_steps)
         assert len(maxima) == 1  # the per-visit work does not grow with n or m
+
+    def test_one_constant_on_every_shape_up_to_8(self):
+        # with m = 2 no smaller value steps between two sweeps of m, so the
+        # longest stretch between two visits runs other lines than with m > 2
+        maxima = {
+            step_stats(shape)[1]
+            for total in range(2, 9)
+            for shape in all_shapes(total)
+            if shape.m >= 2
+        }
+        assert len(maxima) == 1, maxima
 
     def test_counts_the_real_loop(self, monkeypatch):
         # a loop whose passes scan all m values: step_stats must see the
