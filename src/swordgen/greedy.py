@@ -13,7 +13,11 @@ bump Gray code; on other languages the run may stop early, which is
 reported rather than raised.
 The engine is a walk (`greedy_walk`) that yields each word as it is
 chosen, so a reader can take the words while it runs; `generate_greedy`
-collects the walk into a `GrayCodeRun`.
+collects the walk into a `GrayCodeRun`.  The walk has two engines: the
+block scan (`_scan`), which keeps the visited words, and, from the
+nondecreasing word of a syntactically zig-zag language, the sweep on the
+generating tree (`_sweep`), which makes the same choices with no visited
+set and no membership test per candidate.
 
 Also here: one-pass Gray-code verification, a run's projection onto the
 parent language, and the JSON form of a run.
@@ -39,6 +43,7 @@ from .words import (
     nondecreasing_word,
     validate_word,
 )
+from .zigzag import zigzag_pattern
 
 EXHAUSTED = "exhausted"
 NO_NEW_BUMP = "no-new-bump"
@@ -144,20 +149,152 @@ def _bump_blocks(shape: Shape, w: Word):
             lead -= 1
 
 
+def _sweep(shape: Shape, start: Word, live: frozenset[Word]):
+    """Yield each word after `start`, the nondecreasing word of a language
+    whose live patterns are all syntactically zig-zag, with the move into
+    it, as `_scan` would, but with no visited set.
+
+    Level k of the generating tree inserts the k-th letter of `start` into
+    the word of the levels below, right of the copies of its value, so the
+    copy of level k has rank k.  The run projects onto the run one level
+    down, and while the parent stays, the top level's copy sweeps over all
+    of its member points, from one end of its range to the other.  Both
+    ends are members: a pattern's largest letter is neither first nor last,
+    and an occurrence through a copy placed right after an equal one would
+    also run through that one.
+
+    So a level steps when every level above it has finished its sweep and
+    lies at an end of its range.  They stay at their ends: moving a copy
+    from one end to the other would change a second place, so only keeping
+    the end makes the step one bump.  The copies of the stepping value
+    glued right after the stepping copy (all of them, when it lies at the
+    end) move with it, as the widest block that does; the others stay at
+    the end.  Each larger value thus lies in two runs, one at the front of
+    the word and one at its end, and the step is one block moved across
+    the gap to the stepping level's next member point.  Then every level
+    above with more than one point starts a sweep from where it lies.
+
+    `front[k]` tells whether level k lies at the first point of its range
+    (also for a range of one point), and `pt[k]` is its point: the index of
+    its copy in its level's word.  The stack holds the levels that have not
+    finished their sweeps, each as [level, points in sweep order (None
+    until it first steps), index of the current point].
+    """
+    n, top = shape.n, shape.m
+    val = (0,) + start
+    firsts = [t + 1 for t in shape.prefix]  # each value's first level
+    last = [0] * (n + 1)  # the last level of each level's value
+    for t, s in zip(shape.prefix, shape.multiplicities):
+        last[t + 1 : t + s + 1] = [t + s] * s
+    # in `start` every copy lies at the end of its range, the only point of
+    # the range but for each value's first copy above the 1s
+    front = [True] * (n + 1)
+    pt = list(range(-1, n))
+    stack = []
+    for k in firsts[1:]:
+        front[k] = False
+        stack.append([k, None, 0])
+    w, moves = start, {}
+    while stack:
+        entry = stack[-1]
+        k, pts, i = entry
+        v = val[k]
+        f = 0  # the front runs of the larger values
+        while w[f] > v:
+            f += 1
+        r = last[k] - k
+        p = pt[k]
+        g = 0  # the later copies of v glued on, all of them at the end
+        while g < r and front[k + 1 + g]:
+            g += 1
+        if pts is None:
+            # the parent is the word of the levels below: drop the larger
+            # values' runs and k's block, and the later copies of v at the end
+            if front[k]:
+                parent = w[f : f + p] + w[f + p + 1 + g : f + k + g]
+                pts = oracle.member_points(parent, v, live)[::-1]
+            else:
+                parent = w[f : f + k - 1]
+                pts = oracle.member_points(parent, v, live)
+            if k == n:
+                # the top level sweeps its copy with nothing above it; its
+                # moves recur from sweep to sweep, so each is made once
+                way = RIGHT if front[k] else LEFT
+                key = (v,)
+                for q in pts[1:]:
+                    w = parent[:q] + key + parent[q:]
+                    move = moves.get((p, q))
+                    if move is None:
+                        move = moves[p, q] = BumpMove(n, way, 1, abs(q - p), p + 1)
+                    yield w, move
+                    p = q
+                pt[n], front[n] = p, way == LEFT
+                stack.pop()
+                continue
+            entry[1] = pts
+        q = pts[i + 1]
+        a, b = f + p, f + p + g + 1  # the block is w[a:b]
+        if q > p:
+            e = b + q - p
+            w = w[:a] + w[b:e] + w[a:b] + w[e:]
+            move = BumpMove(k, RIGHT, g + 1, q - p, a + 1)
+        else:
+            e = a - (p - q)
+            w = w[:e] + w[a:b] + w[e:a] + w[b:]
+            move = BumpMove(k + g, LEFT, g + 1, p - q, b)
+        pt[k] = q
+        if i + 2 == len(pts):
+            front[k] = q < p
+            stack.pop()
+        else:
+            entry[2] = i + 1
+        # the levels above, each at an end, start their sweeps from there
+        if q == k - 1:
+            if g < r:  # the copy left at the end now has one point
+                front[k + g + 1] = True
+        else:
+            for c in range(1, g + 1):
+                pt[k + c] = q + c
+                stack.append([k + c, None, 0])
+            if g < r:
+                stack.append([k + g + 1, None, 0])
+        for l in firsts[v:top]:
+            # the front run of a larger value, and its first copy at the end
+            stack.append([l, None, 0])
+            while front[l] and l < last[l]:
+                l += 1
+                stack.append([l, None, 0])
+        yield w, move
+
+
 class GreedyWalk:
     """A greedy run before it is walked.  Iterating it runs the walk,
     yielding each visited word with the move into it (None for `start`) as
-    the word is chosen; each iteration walks afresh.  `size` is the
-    language's, so a walk of `size` words is complete.  (A plain class: a
-    dataclass would add a millisecond to every command's start.)"""
+    the word is chosen; each iteration walks afresh, by `_sweep` over the
+    `live` patterns when `sweep` is set and by `_scan` with `member`
+    otherwise.  `size` is the language's, so a walk of `size` words is
+    complete.  (A plain class: a dataclass would add a millisecond to every
+    command's start.)"""
 
-    def __init__(self, shape: Shape, patterns: frozenset[Word], start: Word, member, size: int):
+    def __init__(
+        self,
+        shape: Shape,
+        patterns: frozenset[Word],
+        start: Word,
+        member,
+        size: int,
+        live: frozenset[Word],
+        sweep: bool,
+    ):
         self.shape, self.patterns, self.start = shape, patterns, start
-        self.member, self.size = member, size
+        self.member, self.size, self.live, self.sweep = member, size, live, sweep
 
     def __iter__(self) -> Iterator[tuple[Word, Optional[BumpMove]]]:
         yield self.start, None
-        yield from _scan(self.shape, self.start, self.member)
+        if self.sweep:
+            yield from _sweep(self.shape, self.start, self.live)
+        else:
+            yield from _scan(self.shape, self.start, self.member)
 
 
 def greedy_walk(
@@ -184,13 +321,20 @@ def greedy_walk(
     size = oracle.formula_count(shape, pats)
     if size is None:
         size = oracle.formula_count(shape, live)
-    if size is not None:
+    closed = size is not None
+    if closed:
         # a closed form sizes the language: test each candidate directly
         member = oracle.member_test(live)
     else:
         lang = frozenset(oracle.language(shape, live, cap))
         member, size = lang.__contains__, len(lang)
-    return GreedyWalk(shape, pats, word, member, size)
+    # from the nondecreasing word a zig-zag language is swept on the tree,
+    # unless it was listed: then the scan's test is one set lookup a word,
+    # cheaper than the sweep's search for occurrences through each copy
+    sweep = (
+        closed and word == nondecreasing_word(shape) and all(map(zigzag_pattern, live))
+    )
+    return GreedyWalk(shape, pats, word, member, size, live, sweep)
 
 
 def generate_greedy(

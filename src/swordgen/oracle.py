@@ -242,12 +242,23 @@ def tree_level(
 
 def _members(parent: Word, v: int, live: frozenset[Word]) -> list[Word]:
     # the insertions of v into a member that avoid the live patterns
+    return [parent[:p] + (v,) + parent[p:] for p in member_points(parent, v, live)]
+
+
+def member_points(parent: Word, v: int, live: frozenset[Word]) -> range | list[int]:
+    """The points p, from the last to the first, at which inserting `v`
+    right of its copies in `parent`, a member with no letter above `v`,
+    gives a word that avoids the `live` patterns: only occurrences through
+    the inserted copy are new, so only those are looked for.
+
+    >>> member_points((2, 1), 3, frozenset({(2, 3, 1)}))
+    [2, 0]
+    """
+    points = _insertion_points(parent, v)
+    if not live:
+        return points
     occupied = set().union(*(occurrence_points(parent, v, pat) for pat in live))
-    return [
-        parent[:p] + (v,) + parent[p:]
-        for p in _insertion_points(parent, v)
-        if p not in occupied
-    ]
+    return [p for p in points if p not in occupied]
 
 
 def count_avoiding(
@@ -316,10 +327,11 @@ def children(word2: Word, shape: Shape, patterns=frozenset()) -> list[Word]:
     `shape` is the child shape; `word2` must belong to its parent language
     (equivalently: have at least one child).
     """
-    member = member_test(normalize_patterns(patterns))
     validate_word(parent_shape(shape), word2)
-    # parent_word removes exactly a copy of m inserted right of the others
-    out = list(filter(member, insertions(word2, shape.m)))
+    live = live_patterns(shape, patterns)
+    # parent_word removes exactly a copy of m inserted right of the others;
+    # a member parent needs only its children's occurrences through that copy
+    out = _members(word2, shape.m, live) if avoids_all(word2, live) else []
     if not out:
         raise WordError(f"{word2} is not in the parent language")
     return out

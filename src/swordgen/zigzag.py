@@ -37,14 +37,23 @@ def syntactic_zigzag(patterns) -> bool:
     >>> syntactic_zigzag({"12121"})
     True
     """
-    for pat in normalize_patterns(patterns):
-        top = max(pat)
-        spots = [i for i, c in enumerate(pat) if c == top]
-        if spots[0] == 0 or spots[-1] == len(pat) - 1:
-            return False
-        if any(b - a == 1 for a, b in zip(spots, spots[1:])):
-            return False
-    return True
+    return all(map(zigzag_pattern, normalize_patterns(patterns)))
+
+
+def zigzag_pattern(pattern: Word) -> bool:
+    """True iff the normalised `pattern` keeps its largest letter internal
+    and isolated: the rule `syntactic_zigzag` applies to every pattern.
+
+    >>> zigzag_pattern((1, 3, 2)), zigzag_pattern((1, 2, 2, 1))
+    (True, False)
+    """
+    top = max(pattern)
+    spots = [i for i, c in enumerate(pattern) if c == top]
+    return (
+        spots[0] != 0
+        and spots[-1] != len(pattern) - 1
+        and all(b - a > 1 for a, b in zip(spots, spots[1:]))
+    )
 
 
 def closed_under_maximum_jumps(

@@ -249,21 +249,27 @@ class TestStream:
 
     def test_greedy_stops_with_the_reader(self, monkeypatch):
         # 40,320 words; the first write fails, as to a reader that has gone
-        scan, walked = greedy._scan, []
+        walked = []
 
-        def counted(*args):
-            for step in scan(*args):
-                walked.append(step)
-                yield step
+        def counted(engine):
+            def steps(*args):
+                for step in engine(*args):
+                    walked.append(step)
+                    yield step
+
+            return steps
 
         def write(text):
             raise BrokenPipeError
 
-        monkeypatch.setattr(greedy, "_scan", counted)
+        # count the steps of whichever engine the walk runs
+        for name in ("_scan", "_sweep"):
+            monkeypatch.setattr(greedy, name, counted(getattr(greedy, name)))
         monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=write))
         with pytest.raises(BrokenPipeError):
             parse_and_dispatch(["generate", "--shape", "1^8", "--avoid", "12121"])
-        # the start and the steps after it
+        # the start and the steps after it, of a walk that did run
+        assert walked
         assert 1 + len(walked) <= cli.CHUNK + 1
 
     @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -31,7 +31,8 @@ from swordgen.oracle import (
 )
 from swordgen.patterns import avoids_all, normalize_patterns
 from swordgen.stirling import loopless_run
-from swordgen.words import WordError, make_shape, shape_of_word
+from swordgen.words import WordError, make_shape, nondecreasing_word, shape_of_word
+from swordgen.zigzag import zigzag_pattern
 
 def words_of(run):
     return ["".join(map(str, w)) for w in run.words]
@@ -141,11 +142,14 @@ class TestEngineOptions:
 
     def test_a_long_run_is_walked_once(self):
         # the block scan walked every copy's run back to its start, which
-        # took 0.58 s for one word of 4,000 copies
+        # took 0.58 s for one word of 4,000 copies; the walk of this shape
+        # sweeps, so the scan is driven directly
+        shape, word = make_shape((20000,)), (1,) * 20000
         begin = time.perf_counter()
-        run = generate_greedy(make_shape((20000,)))
+        assert list(greedy._scan(shape, word, lambda w: True)) == []
         assert time.perf_counter() - begin < 1.0
-        assert run.words == ((1,) * 20000,) and run.complete
+        run = generate_greedy(shape)
+        assert run.words == (word,) and run.complete
 
     def test_invalid_start(self):
         with pytest.raises(InvalidStartError):
@@ -154,6 +158,103 @@ class TestEngineOptions:
             generate_greedy(make_shape((2, 2)), start=(2, 1, 1, 2), patterns={"212"})
         with pytest.raises(WordError):
             generate_greedy(make_shape((2, 2)), start=(1, 1, 1, 2))
+
+
+def scan_steps(shape, pats):
+    """The block scan's steps from the nondecreasing word, its member test
+    the language built on the generating tree."""
+    lang = frozenset(oracle.tree_level(shape, pats))
+    return list(greedy._scan(shape, nondecreasing_word(shape), lang.__contains__))
+
+
+def sweep_steps(shape, pats):
+    live = oracle.live_patterns(shape, pats)
+    return list(greedy._sweep(shape, nondecreasing_word(shape), live))
+
+
+@st.composite
+def zigzag_sets(draw):
+    """One to three syntactically zig-zag patterns of three to five letters."""
+    pats = set()
+    for _ in range(draw(st.integers(1, 3))):
+        raw = draw(
+            st.lists(st.integers(1, 4), min_size=3, max_size=5)
+            .map(lambda xs: tuple(sorted(set(xs)).index(x) + 1 for x in xs))
+            .filter(zigzag_pattern)
+        )
+        pats.add(raw)
+    return frozenset(pats)
+
+
+class TestSweep:
+    """The sweep on the generating tree against the block scan, which keeps
+    the visited words (and which `test_greedy_oracle.py` checks against the
+    literal rule)."""
+
+    # the pattern sets of criterion 5
+    GRAY_MATRIX = [(), ("231",), ("12121",), ("132", "121"), ("132", "231", "121")]
+
+    @pytest.mark.parametrize("patterns", GRAY_MATRIX, ids=lambda p: "+".join(p) or "none")
+    def test_equals_the_scan_on_every_shape_up_to_eight(self, patterns):
+        pats = normalize_patterns(patterns)
+        for total in range(1, 9):
+            for shape in all_shapes(total):
+                assert sweep_steps(shape, pats) == scan_steps(shape, pats), shape
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(SMALL_SHAPES), zigzag_sets())
+    def test_equals_the_scan_on_any_zigzag_set(self, shape, pats):
+        steps = sweep_steps(shape, pats)
+        assert steps == scan_steps(shape, pats)
+        assert 1 + len(steps) == len(oracle.tree_level(shape, pats))
+
+    def test_equals_the_scan_on_one_and_n(self):
+        # every n would take a minute, nearly all of it in the scan
+        for n in [*range(1, 61), *range(70, 301, 10)]:
+            shape = make_shape((1, n))
+            assert sweep_steps(shape, frozenset()) == scan_steps(shape, frozenset()), n
+
+    def test_long_runs_need_no_recursion(self):
+        # the sweep keeps one stack entry a level and no visited set
+        run = generate_greedy(make_shape((1, 2000)))
+        assert run.complete and len(set(run.words)) == 2001
+        assert verify_gray_code(run).ok
+
+    @pytest.mark.parametrize(
+        "mult, pats",
+        [((1, 1, 1, 1), {"132", "231", "121"}), ((2, 1, 2), set()), ((2, 2, 2), {"132", "121"})],
+    )
+    def test_the_nondecreasing_start_is_the_default(self, mult, pats):
+        shape = make_shape(mult)
+        start = nondecreasing_word(shape)
+        assert greedy.greedy_walk(shape, pats, start=start).sweep
+        assert generate_greedy(shape, pats, start=start) == generate_greedy(shape, pats)
+
+    @pytest.mark.parametrize(
+        "mult, pats, start",
+        [
+            ((2, 2), set(), (2, 2, 1, 1)),
+            ((1, 1, 1, 1), {"231"}, (4, 3, 2, 1)),
+            ((2, 1, 3), {"212"}, None),
+            ((1, 1, 1), {"312"}, None),
+            ((1, 1, 1, 1), {"231"}, None),
+        ],
+        ids=["start", "231-start", "212", "312", "231-listed"],
+    )
+    def test_other_starts_and_sets_take_the_scan(self, monkeypatch, mult, pats, start):
+        scan, calls = greedy._scan, []
+
+        def counted(*args):
+            calls.append(args)
+            return scan(*args)
+
+        def refuse(*args):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(greedy, "_scan", counted)
+        monkeypatch.setattr(greedy, "_sweep", refuse)
+        run = generate_greedy(make_shape(mult), pats, start=start)
+        assert len(calls) == 1 and len(run.words) > 1
 
 
 class TestVerify:

@@ -1,7 +1,8 @@
 """The greedy rule written out literally, as an oracle for the engine.
 
-The oracle shares no code with the engine's block scan (`_bump_blocks`,
-`_first_bump`): it relates the current word to every language word with
+The oracle shares no code with either engine, the block scan
+(`_bump_blocks`, `_first_bump`) or the sweep on the generating tree
+(`_sweep`): it relates the current word to every language word with
 `classify_move`, keeps the least distance per (anchor, dir) block, drops
 the blocks whose minimal result was visited, and takes the highest
 leading rank, then R before L, then the narrower block.
@@ -12,10 +13,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swordgen.bumps import RIGHT, classify_move
-from swordgen.greedy import generate_greedy
-from swordgen.oracle import all_shapes, language
+from swordgen.greedy import _sweep, generate_greedy
+from swordgen.oracle import all_shapes, language, live_patterns
 from swordgen.patterns import avoids_all, normalize_patterns
 from swordgen.words import nondecreasing_word
+from swordgen.zigzag import syntactic_zigzag
 
 PATTERN_SETS = [
     (), ("231",), ("12121",), ("132", "121"), ("132", "231", "121"),
@@ -64,7 +66,12 @@ def test_engine_follows_the_literal_rule(patterns):
         if not avoids_all(start, pats):
             continue  # 11 on a shape with a repeated value: no start word
         run = generate_greedy(shape, pats)
-        assert (list(run.words), list(run.moves)) == literal_greedy(shape, pats, start)
+        words, moves = literal_greedy(shape, pats, start)
+        assert (list(run.words), list(run.moves)) == (words, moves)
+        if syntactic_zigzag(patterns):
+            # the sweep too, whichever engine the walk chose
+            sweep = list(_sweep(shape, start, live_patterns(shape, pats)))
+            assert sweep == list(zip(words[1:], moves))
         runs += 1
     assert runs >= 5  # at least the shapes 1^n, whose start avoids every set
 
