@@ -34,8 +34,6 @@ from .words import Shape, format_word, parse_shape, parse_word
 CHUNK = 4096
 # a word of digits 1..9 is its bytes, translated to ASCII a chunk at a time
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
-# where the word and move lists sit in the payload of a run without them
-_LISTS = '"words": [], "moves": []'
 
 
 def _parse_avoid(text: str | None):
@@ -53,11 +51,6 @@ def _cap(text: str) -> int:
 # --- output -----------------------------------------------------------------
 # A feed hands items to the visitor it is given: the loopless engine's feeds
 # push from the loop as it runs.
-
-
-def _each(items):
-    """The feed of a finished sequence."""
-    return lambda visit: collections.deque(map(visit, items), maxlen=0)
 
 
 def _write_chunks(feed, convert, render, sep: str = ""):
@@ -109,47 +102,56 @@ def _move_json(move) -> str:
     return json.dumps(move.to_json())
 
 
-def _write_run_json(shape: Shape, patterns, engine: str, words, moves, size: int) -> int:
-    """`json.dumps(run_to_payload(run, engine))` and a newline for the run
-    that the feeds give: first the words, then the moves (their
-    `_move_json`).  The run is complete when the words number `size`.
-    Returns the number of words."""
-    payload = run_to_payload(GrayCodeRun(shape, patterns, (), (), False, NO_NEW_BUMP), engine)
-    sys.stdout.write(json.dumps(payload).split(_LISTS)[0] + '"words": [')
-    if shape.m <= 9:
-        count = _write_chunks(words, bytes, _digit_lists, ", ")
-    else:  # a list of ints prints as JSON
-        count = _write_chunks(words, lambda word: str(list(word)), ", ".join, ", ")
-    sys.stdout.write('], "moves": [')
-    _write_chunks(moves, str, ", ".join, ", ")
-    payload["complete"] = count == size
-    sys.stdout.write("]" + json.dumps(payload).split(_LISTS)[1] + "\n")
-    return count
+def _write_json(payload: dict, **lists) -> None:
+    """`json.dumps(payload)` and a newline, where each keyword names a list
+    that `payload` holds empty and gives the (feed, convert, render) with
+    which `_write_chunks` writes its items.  The payload is dumped again
+    after each list, so a feed may set a field that comes after its list."""
+    done = 0  # where the payload's JSON that is not yet out starts
+    for key, (feed, convert, render) in lists.items():
+        text = json.dumps(payload)
+        at = text.index(f'"{key}": []', done) + len(key) + 5  # the list's "]"
+        sys.stdout.write(text[done:at])
+        _write_chunks(feed, convert, render, ", ")
+        done = at
+    sys.stdout.write(json.dumps(payload)[done:] + "\n")
 
 
-def _walk_words(walk: greedy.GreedyWalk, moves: list | None, visit) -> int:
+def _write_dot(name: str, *lists) -> int:
+    """The DOT graph `name`: its head, then for each (feed, piece) the
+    `piece(idx, item)` of every item of `feed`, numbered from 0 (see
+    `trees.export_dot`), and its tail.  Returns what the first feed returns."""
+    sys.stdout.write(trees.dot_head(name))
+    counts = []
+    for feed, piece in lists:
+        ids = itertools.count()
+        counts.append(_write_chunks(feed, lambda item: piece(next(ids), item), "".join))
+    sys.stdout.write(trees.DOT_TAIL)
+    return counts[0]
+
+
+def _walk_words(walk: greedy.GreedyWalk, visit, moves: list | None = None, make=_move_json) -> int:
     """Feed the words of a greedy walk to `visit` as they are chosen, and
     return how many there were.  With `moves`, append to it each move's
-    `_move_json`, made once per distinct move."""
-    made: dict = {}
+    `make(move)`, made once per distinct move."""
+    make = functools.cache(make)
     count = 0
     for count, (word, move) in enumerate(walk, 1):
         visit(word)
         if moves is not None and move is not None:
-            text = made.get(move)
-            if text is None:
-                text = made[move] = _move_json(move)
-            moves.append(text)
+            moves.append(make(move))
     return count
 
 
 # --- subcommands ------------------------------------------------------------
 
 
-def _choose_engine(args) -> tuple[Shape, frozenset, str]:
-    """The shape, patterns and engine of a `generate` or `verify` call:
-    loopless by default for {212}, greedy otherwise.  The loopless engine
-    refuses other pattern sets; only the greedy engine takes --start."""
+def _setup(args):
+    """The shape, patterns and language size of the run that `generate`
+    writes and `verify` checks, and its greedy walk (None for the loopless
+    engine, the default for {212}, which refuses other pattern sets; only
+    the greedy engine takes --start).  Every refusal comes here, before any
+    output."""
     shape = parse_shape(args.shape)
     pats = _parse_avoid(args.avoid)
     is_212 = pats == oracle.STIRLING_PATTERNS
@@ -158,53 +160,45 @@ def _choose_engine(args) -> tuple[Shape, frozenset, str]:
         raise ValueError("the loopless engine only generates the 212-avoiding language")
     if args.start is not None and engine != "greedy":
         raise ValueError("only the greedy engine honors --start")
-    return shape, pats, engine
-
-
-def _start(args):
-    return parse_word(args.start) if args.start is not None else None
-
-
-def _setup(args, shape, pats, engine: str):
-    """The patterns and language size of the run that `generate` streams
-    and `verify` checks, and its greedy walk (None for the loopless
-    engine).  Every refusal comes here, before any output."""
     if engine == "loopless":
         stirling._check_output(shape)
-        return oracle.STIRLING_PATTERNS, oracle.stirling_count(shape), None
-    walk = greedy.greedy_walk(shape, pats, start=_start(args), cap=args.cap)
-    return walk.patterns, walk.size, walk
+        return shape, oracle.STIRLING_PATTERNS, oracle.stirling_count(shape), None
+    start = parse_word(args.start) if args.start is not None else None
+    walk = greedy.greedy_walk(shape, pats, start=start, cap=args.cap)
+    return shape, walk.patterns, walk.size, walk
 
 
 def _cmd_generate(args) -> int:
-    shape, pats, engine = _choose_engine(args)
-    if args.format == "dot":
-        if engine == "loopless":
-            run = stirling.loopless_run(shape)
-        else:
-            run = greedy.generate_greedy(shape, pats, start=_start(args), cap=args.cap)
-        print(trees.export_dot(run), end="")
-        complete = run.complete
+    shape, pats, size, walk = _setup(args)
+    make = _move_json if args.format == "json" else trees.move_label
+    if walk is None:
+        # the loop runs once for the words and, in JSON and DOT, once for the moves
+        words = functools.partial(stirling.generate_loopless, shape)
+        moves = lambda add: stirling.loopless_steps(shape, make, lambda _, move: move and add(move))
     else:
-        pats, size, walk = _setup(args, shape, pats, engine)
-        if walk is None:
-            # the loop runs once for the words and, in JSON, once for the moves
-            words = functools.partial(stirling.generate_loopless, shape)
-            moves = lambda add: stirling.loopless_steps(
-                shape, _move_json, lambda _, move: move and add(move)
-            )
-        else:
-            # the walk runs once; JSON keeps the moves until the words are out
-            kept: list[str] = []
-            words = functools.partial(_walk_words, walk, kept if args.format == "json" else None)
-            moves = _each(kept)
-        if args.format == "json":
-            count = _write_run_json(shape, pats, engine, words, moves, size)
-        elif shape.m <= 9:  # one `format_word` line per word
-            count = _write_chunks(words, bytes, _digit_lines)
-        else:
-            count = _write_chunks(words, format_word, _lines)
-        complete = count == size
+        # the walk runs once; JSON and DOT keep the moves until the words are out
+        kept = [] if args.format != "text" else None
+        words = functools.partial(_walk_words, walk, moves=kept, make=make)
+        moves = lambda add: collections.deque(map(add, kept), maxlen=0)
+    if args.format == "json":
+        engine = "loopless" if walk is None else "greedy"
+        payload = run_to_payload(GrayCodeRun(shape, pats, (), (), False, NO_NEW_BUMP), engine)
+        if shape.m <= 9:
+            items = bytes, _digit_lists
+        else:  # a list of ints prints as JSON
+            items = lambda word: str(list(word)), ", ".join
+
+        def listed(visit) -> None:  # the words, then "complete" once they are out
+            payload["complete"] = words(visit) == size
+
+        _write_json(payload, words=(listed, *items), moves=(moves, str, ", ".join))
+        complete = payload["complete"]
+    elif args.format == "dot":
+        complete = _write_dot("run", (words, trees.dot_word), (moves, trees.dot_edge)) == size
+    elif shape.m <= 9:  # one `format_word` line per word
+        complete = _write_chunks(words, bytes, _digit_lines) == size
+    else:
+        complete = _write_chunks(words, format_word, _lines) == size
     if args.expect_complete and not complete:
         print("run is incomplete", file=sys.stderr)
         return 1
@@ -212,8 +206,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    shape, pats, engine = _choose_engine(args)
-    pats, size, walk = _setup(args, shape, pats, engine)
+    shape, pats, size, walk = _setup(args)
     if walk is None:
         feed = functools.partial(stirling.loopless_steps, shape, lambda move: move)
     else:
@@ -255,15 +248,9 @@ def _cmd_trace(args) -> int:
     stirling._check_output(shape)  # before any output
     rows = functools.partial(stirling.trace_rows, shape)
     names = [f.name for f in dataclasses.fields(stirling.TraceRow)]
-    if args.format == "json":
-        # the payload as `json.dumps` writes it whole, with the rows written
-        # in chunks as the loop runs; tuples serialise as JSON arrays
-        head, tail = json.dumps(
-            {"format": 1, "shape": list(shape.multiplicities), "rows": []}
-        ).split('"rows": []')
-        sys.stdout.write(head + '"rows": [')
-        _write_chunks(rows, lambda row: dict(zip(names, row)), _json_items, ", ")
-        sys.stdout.write("]" + tail + "\n")
+    if args.format == "json":  # tuples serialise as JSON arrays
+        payload = {"format": 1, "shape": list(shape.multiplicities), "rows": []}
+        _write_json(payload, rows=(rows, lambda row: dict(zip(names, row)), _json_items))
         return 0
 
     def cells(row) -> list[str]:
@@ -317,47 +304,50 @@ def _cmd_zigzag(args) -> int:
 
 def _cmd_trees(args) -> int:
     shape = parse_shape(args.shape)
-    # the trees are made as they are written: the text form never holds them
-    # all, nor, for the greedy walk of `kary`, the words
+    # the trees are made as they are written, from the loop's words or, for
+    # `kary`, the greedy walk's; JSON runs the loop or walk once per list
     if args.kind == "stirling":
-        words = stirling.stirling_sequence(shape)
+        stirling._check_output(shape)  # before any output
+        words = functools.partial(stirling.generate_loopless, shape)
         tree = trees.stirling_word_to_tree
     else:
         if len(set(shape.multiplicities)) != 1:
             raise ValueError("--kind kary needs a shape with equal multiplicities")
         k = shape.multiplicities[0] + 1
         walk = greedy.greedy_walk(shape, oracle.KCATALAN_PATTERNS, cap=args.cap)
-        words = (word for word, _ in walk)
+        words = functools.partial(_walk_words, walk)
         tree = lambda word: trees.kcatalan_word_to_tree(word, k)
+    text = lambda word: str(tree(word))
     if args.format == "json":
-        words = list(words)
-        payload = {
-            "format": 1,
-            "shape": list(shape.multiplicities),
-            "kind": args.kind,
-            "words": [list(w) for w in words],
-            "trees": [str(tree(w)) for w in words],
-        }
+        payload = {"format": 1, "shape": list(shape.multiplicities), "kind": args.kind}
+        payload.update(words=[], trees=[])
         if args.kind == "kary":
             payload["k"] = k
-        print(json.dumps(payload))
+        _write_json(payload, words=(words, list, _json_items), trees=(words, text, _json_items))
     elif args.format == "dot":
-        print(trees.export_dot([tree(w) for w in words]), end="")
+        _write_dot("trees", (words, lambda idx, word: trees.dot_tree(idx, tree(word))))
     else:
-        _write_chunks(_each(map(tree, words)), str, _lines)
+        _write_chunks(words, text, _lines)
     return 0
 
 
 def _cmd_path(args) -> int:
     shape = parse_shape(args.shape)
-    vectors = trees.hamilton_path(shape)
+    stirling._check_output(shape)  # before any output
+    vectors = functools.partial(trees.inversion_vectors, shape)
     if args.format == "json":
-        table = [list(v) for v in vectors]
-        print(json.dumps({"format": 1, "shape": list(shape.multiplicities), "vectors": table}))
+        payload = {"format": 1, "shape": list(shape.multiplicities), "vectors": []}
+        _write_json(payload, vectors=(vectors, list, _json_items))
     elif args.format == "dot":
-        print(trees.export_dot(vectors), end="")
+        last = []  # the vector before the one whose edge is made
+
+        def step(idx: int, vector) -> str:  # the edge into each vector after the first
+            last.append(vector)
+            return trees.dot_edge(idx - 1, trees.step_label(last.pop(0), vector)) if idx else ""
+
+        _write_dot("path", (vectors, trees.dot_vector), (vectors, step))
     else:
-        _write_chunks(_each(vectors), lambda v: ",".join(map(str, v)), _lines)
+        _write_chunks(vectors, lambda v: ",".join(map(str, v)), _lines)
     return 0
 
 

@@ -150,34 +150,23 @@ def stirling_sequence(shape: Shape) -> list[Word]:
     return out
 
 
-def _move_from_state(s, t, v: int, d: int, i: int) -> BumpMove:
-    # the run of v moves one step: anchored left when heading right, and
-    # conversely; in both cases i is the anchor position
-    if d == 1:
-        return BumpMove(rank=t[v] + 1, dir=RIGHT, width=s[v], distance=1, anchor=i)
-    return BumpMove(rank=t[v] + s[v], dir=LEFT, width=s[v], distance=1, anchor=i)
-
-
 def loopless_run(shape: Shape) -> GrayCodeRun:
-    """Collect the sequence as a GrayCodeRun, deriving each move in O(1)
-    from the live state instead of re-classifying word pairs."""
+    """Collect the sequence as a GrayCodeRun: the words and moves that
+    `loopless_steps` feeds."""
     _check_output(shape)
-    s = (0,) + shape.multiplicities
-    t = (0,) + shape.prefix
     words: list[Word] = []
     moves: list[BumpMove] = []
 
-    def grab(perm, v, u, i, j, left, inv, fs, dirs):
+    def grab(perm, move):  # None, the move into the first word, is dropped
         words.append(tuple(perm))
-        if u is not None:
-            moves.append(_move_from_state(s, t, v, dirs[v], i))
+        moves.append(move)
 
-    _loopless(shape, grab)
+    loopless_steps(shape, lambda move: move, grab)
     return GrayCodeRun(
         shape,
         oracle.STIRLING_PATTERNS,
         tuple(words),
-        tuple(moves),
+        tuple(moves[1:]),
         True,
         EXHAUSTED,
     )
@@ -191,8 +180,8 @@ def loopless_steps(
     """Feed every word with the move into it, as `visit(perm, made)`, in
     O(1) per step: `made` is `make(move)`, None for the first word, and
     `perm` is the live word list, as `generate_loopless` gives it.  A move
-    depends only on (v, d, i), and there are at most 2mn of them, so `make`
-    runs once per distinct move."""
+    is read from the live state (v, d, i), and there are at most 2mn of
+    them, so `make` runs once per distinct move."""
     s = (0,) + shape.multiplicities
     t = (0,) + shape.prefix
     made: dict[tuple[int, int, int], object] = {}
@@ -202,10 +191,13 @@ def loopless_steps(
         nonlocal into
         visit(perm, into)
         if u is not None:
-            key = (v, dirs[v], i)
-            into = made.get(key)
+            d = dirs[v]
+            into = made.get((v, d, i))
             if into is None:
-                into = made[key] = make(_move_from_state(s, t, *key))
+                # the run of v moves one step: anchored left when heading
+                # right, and conversely; in both cases i is the anchor
+                rank, side = (t[v] + 1, RIGHT) if d == 1 else (t[v] + s[v], LEFT)
+                into = made[v, d, i] = make(BumpMove(rank, side, s[v], 1, i))
 
     _loopless(shape, grab)
 

@@ -19,7 +19,7 @@ step.  DOT export renders runs, vector paths and tree families.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, product
 from typing import Optional, Sequence, Union
 
 from . import oracle
@@ -176,14 +176,20 @@ def word_from_inversion_vector(shape: Shape, iv: Sequence[int]) -> Word:
     return tuple(out)
 
 
+def inversion_vectors(shape: Shape, visit) -> int:
+    """Feed the inversion vector of each word of the generated order to
+    `visit`, and return how many there were.  Read from the loop's live
+    `inv`, which is the inversion vector of the word at each visit."""
+    return _loopless(shape, lambda perm, v, u, i, j, left, inv, fs, dirs: visit(tuple(inv[1:])))
+
+
 def hamilton_path(shape: Shape) -> list[InvVector]:
     """Inversion vectors along the generated order: every vector in the
     box Π[0..t_v] exactly once, consecutive ones differing by one step in
-    one coordinate.  Read from the loop's live `inv`, which is the
-    inversion vector of the word at each visit."""
+    one coordinate."""
     _check_output(shape)
     out: list[InvVector] = []
-    _loopless(shape, lambda perm, v, u, i, j, left, inv, fs, dirs: out.append(tuple(inv[1:])))
+    inversion_vectors(shape, out.append)
     return out
 
 
@@ -251,29 +257,50 @@ def all_kary_trees(k: int, m: int) -> list[KTree]:
 
 
 # --- DOT export -------------------------------------------------------------
+# A DOT graph is `dot_head`, a piece per item numbered from 0, and DOT_TAIL:
+# a chain ("run" or "path") has a node per word or vector and then an edge
+# per step, labeled by text; "trees" has a cluster per tree.  `export_dot`
+# joins the pieces of a finished payload; the CLI writes them as it goes.
 
 Payload = Union[GrayCodeRun, STree, KTree, Sequence]
+DOT_TAIL = "}\n"
 
 
-def _dot_label(item) -> str:
-    if isinstance(item, tuple):
-        return format_word(item) if item and min(item) >= 1 else str(item)
-    return str(item)
+def dot_head(name: str) -> str:
+    if name == "trees":
+        return 'digraph trees {\n  node [fontname="monospace"];\n'
+    return f'digraph {name} {{\n  rankdir=LR;\n  node [shape=box, fontname="monospace"];\n'
 
 
-def _chain_dot(labels: list[str], edges: list[str], name: str) -> str:
-    lines = [f"digraph {name} {{", "  rankdir=LR;", '  node [shape=box, fontname="monospace"];']
-    for idx, label in enumerate(labels):
-        lines.append(f'  w{idx} [label="{label}"];')
-    for idx, edge in enumerate(edges):
-        attr = f' [label="{edge}"]' if edge else ""
-        lines.append(f"  w{idx} -> w{idx + 1}{attr};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def dot_word(idx: int, word: Word) -> str:
+    label = format_word(word) if word and min(word) >= 1 else str(word)
+    return f'  w{idx} [label="{label}"];\n'
 
 
-def _tree_cluster(tree: Union[STree, KTree], tid: int, lines: list[str]) -> None:
-    lines.append(f"  subgraph cluster{tid} {{")
+def dot_vector(idx: int, vector) -> str:
+    return f'  w{idx} [label="{tuple(vector)}"];\n'
+
+
+def dot_edge(idx: int, label: str) -> str:
+    attr = f' [label="{label}"]' if label else ""
+    return f"  w{idx} -> w{idx + 1}{attr};\n"
+
+
+def move_label(mv) -> str:
+    return f"r{mv.rank}{mv.dir} w{mv.width} d{mv.distance}"
+
+
+def step_label(a, b) -> str:
+    """The label of a step from vector a to b: "v{i}+1" or "v{i}-1", else empty."""
+    diff = [(idx, y - x) for idx, (x, y) in enumerate(zip(a, b), start=1) if x != y]
+    if len(diff) == 1 and abs(diff[0][1]) == 1:
+        idx, delta = diff[0]
+        return f"v{idx}{'+' if delta > 0 else '-'}1"
+    return ""
+
+
+def dot_tree(tid: int, tree: Union[STree, KTree]) -> str:
+    lines = [f"  subgraph cluster{tid} {{"]
     counter = [0]
 
     def emit(node) -> str:
@@ -292,34 +319,24 @@ def _tree_cluster(tree: Union[STree, KTree], tid: int, lines: list[str]) -> None
         return nid
 
     emit(tree)
-    lines.append("  }")
+    lines.append("  }\n")
+    return "\n".join(lines)
+
+
+def _dot(name: str, *pieces) -> str:
+    # the head, each (piece, items) numbered from 0, and the tail
+    body = "".join("".join(map(piece, count(), items)) for piece, items in pieces)
+    return dot_head(name) + body + DOT_TAIL
 
 
 def export_dot(payload: Payload) -> str:
     """Deterministic DOT text: runs and vector paths become labeled
     chains, trees become one cluster each."""
     if isinstance(payload, GrayCodeRun):
-        labels = [_dot_label(w) for w in payload.words]
-        edges = [
-            f"r{mv.rank}{mv.dir} w{mv.width} d{mv.distance}" for mv in payload.moves
-        ]
-        return _chain_dot(labels, edges, "run")
+        return _dot("run", (dot_word, payload.words), (dot_edge, map(move_label, payload.moves)))
     if isinstance(payload, (STree, KTree)):
         payload = [payload]
     items = list(payload)
     if items and isinstance(items[0], (STree, KTree)):
-        lines = ["digraph trees {", '  node [fontname="monospace"];']
-        for tid, tree in enumerate(items):
-            _tree_cluster(tree, tid, lines)
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    labels = [str(tuple(item)) for item in items]
-    edges = []
-    for a, b in zip(items, items[1:]):
-        diff = [(idx, y - x) for idx, (x, y) in enumerate(zip(a, b), start=1) if x != y]
-        if len(diff) == 1 and abs(diff[0][1]) == 1:
-            idx, delta = diff[0]
-            edges.append(f"v{idx}{'+' if delta > 0 else '-'}1")
-        else:
-            edges.append("")
-    return _chain_dot(labels, edges, "path")
+        return _dot("trees", (dot_tree, items))
+    return _dot("path", (dot_vector, items), (dot_edge, map(step_label, items, items[1:])))

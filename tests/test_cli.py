@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import swordgen
-from swordgen import cli, greedy, oracle, stirling
+from swordgen import cli, greedy, oracle, stirling, trees
 from swordgen.cli import parse_and_dispatch
 from swordgen.greedy import generate_greedy, run_from_payload, run_to_payload
 from swordgen.oracle import all_shapes, multinomial, stirling_count
@@ -180,18 +180,36 @@ class TestStream:
         assert lines == expected
         assert lines[0] == "1,2,3,4,5,6,7,8,9,10"
 
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_nothing_is_materialised(self, capsys, monkeypatch, fmt):
-        def refuse(shape):
-            raise AssertionError("the loopless stream built the whole order")
+    @pytest.mark.parametrize(
+        "argv, start",
+        [
+            pytest.param(("generate", "--avoid", "212", "--format", "text"), "112333\n", id="text"),
+            pytest.param(("generate", "--avoid", "212", "--format", "json"), '{"format": 1,', id="json"),
+            pytest.param(("generate", "--avoid", "212", "--format", "dot"), "digraph run {", id="dot"),
+            pytest.param(("generate", "--avoid", "231", "--format", "dot"), "digraph run {", id="greedy-dot"),
+            pytest.param(("trees", "--format", "text"), "1(ε,ε,2(", id="trees-text"),
+            pytest.param(("trees", "--format", "json"), '{"format": 1,', id="trees-json"),
+            pytest.param(("trees", "--format", "dot"), "digraph trees {", id="trees-dot"),
+            pytest.param(("path", "--format", "text"), "0,0,0\n", id="path-text"),
+            pytest.param(("path", "--format", "json"), '{"format": 1,', id="path-json"),
+            pytest.param(("path", "--format", "dot"), "digraph path {", id="path-dot"),
+        ],
+    )
+    def test_nothing_is_materialised(self, capsys, monkeypatch, argv, start):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the command built the whole order")
 
-        monkeypatch.setattr(stirling, "loopless_run", refuse)
-        monkeypatch.setattr(stirling, "stirling_sequence", refuse)
-        code, out, _ = run_cli(
-            capsys, "generate", "--shape", "2,1,3", "--avoid", "212", "--format", fmt
-        )
+        for module, name in (
+            (stirling, "loopless_run"),
+            (stirling, "stirling_sequence"),
+            (trees, "hamilton_path"),
+            (greedy, "generate_greedy"),
+            (trees, "export_dot"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        code, out, _ = run_cli(capsys, *argv, "--shape", "2,1,3")
         assert code == 0
-        assert out.startswith("112333\n" if fmt == "text" else '{"format": 1,')
+        assert out.startswith(start)
 
     def test_json_memory_stays_flat(self):
         # the materialised run and its 14.9 MB payload peaked at 117 MB
@@ -272,7 +290,7 @@ class TestStream:
         assert walked
         assert 1 + len(walked) <= cli.CHUNK + 1
 
-    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
     @pytest.mark.parametrize(
         "argv, code",
         [
@@ -317,6 +335,35 @@ class TestStream:
         code = proc.wait(timeout=60)
         assert time.perf_counter() - begin < 2.0
         assert first == b"1122334455667788\n"
+        assert code == 141
+        assert b"Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("trees", "--shape", "2^7", "--format", "dot"),
+            ("path", "--shape", "2^7", "--format", "dot"),
+            ("generate", "--shape", "2^7", "--avoid", "212", "--format", "dot"),
+        ],
+        ids=["trees", "path", "generate"],
+    )
+    def test_closed_pipe_ends_quietly_in_dot(self, argv):
+        # 135,135 items each; the reader leaves after the first line.  When
+        # these were built whole, one write of the whole text met the closed
+        # pipe and the command exited 0 after up to 6 s
+        begin = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "swordgen.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+        assert time.perf_counter() - begin < 2.0
+        assert first.startswith(b"digraph ")
         assert code == 141
         assert b"Traceback" not in err
 
@@ -600,6 +647,23 @@ class TestZigzag:
 
 
 class TestTreesAndPath:
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    @pytest.mark.parametrize("command", ["trees", "path"])
+    def test_memory_stays_flat(self, monkeypatch, command, fmt):
+        # the items go out a chunk at a time: with chunks of 64 items, the
+        # 10,395 words of 2^6 peaked at 5.3 MB (path JSON) to 64 MB (trees
+        # DOT) when the whole order was built first
+        monkeypatch.setattr(cli, "CHUNK", 64)
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(Discard()):
+                code = parse_and_dispatch([command, "--shape", "2^6", "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2_000_000
+
     def test_stirling_trees_text(self, capsys):
         code, out, _ = run_cli(capsys, "trees", "--shape", "1,2")
         assert code == 0
