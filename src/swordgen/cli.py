@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import dataclasses
 import functools
 import itertools
 import json
@@ -24,10 +23,11 @@ import os
 import sys
 
 from . import greedy, oracle, stirling, trees, zigzag
+from .bumps import RIGHT
 from .greedy import NO_NEW_BUMP, GrayCodeRun, run_to_payload
 from .oracle import SizeLimitError
 from .patterns import normalize_patterns
-from .words import Shape, format_word, parse_shape, parse_word
+from .words import Shape, format_word, nondecreasing_word, parse_shape, parse_word
 
 # items per write: the first write comes after one chunk, and no more than
 # one chunk of output is held at a time
@@ -223,7 +223,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    shape = parse_shape(args.shape)
+    shape = parse_shape(args.shape, letters=args.method == "oracle")  # a formula builds no word
     pats = _parse_avoid(args.avoid)
     if args.method == "oracle":
         count = oracle.count_avoiding(shape, pats, args.cap)
@@ -247,10 +247,10 @@ def _cmd_trace(args) -> int:
     shape = parse_shape(args.shape)
     stirling._check_output(shape)  # before any output
     rows = functools.partial(stirling.trace_rows, shape)
-    names = [f.name for f in dataclasses.fields(stirling.TraceRow)]
+    names = stirling.TraceRow._fields
     if args.format == "json":  # tuples serialise as JSON arrays
         payload = {"format": 1, "shape": list(shape.multiplicities), "rows": []}
-        _write_json(payload, rows=(rows, lambda row: dict(zip(names, row)), _json_items))
+        _write_json(payload, rows=(rows, stirling.TraceRow._asdict, _json_items))
         return 0
 
     def cells(row) -> list[str]:
@@ -334,18 +334,20 @@ def _cmd_trees(args) -> int:
 def _cmd_path(args) -> int:
     shape = parse_shape(args.shape)
     stirling._check_output(shape)  # before any output
-    vectors = functools.partial(trees.inversion_vectors, shape)
+    vectors = functools.partial(stirling.inversion_vectors, shape)
     if args.format == "json":
         payload = {"format": 1, "shape": list(shape.multiplicities), "vectors": []}
         _write_json(payload, vectors=(vectors, list, _json_items))
     elif args.format == "dot":
-        last = []  # the vector before the one whose edge is made
+        # the loop runs once for the vectors and once for its moves, each
+        # edge labelled from its move, made once per distinct move
+        values = nondecreasing_word(shape)  # the value at each rank
 
-        def step(idx: int, vector) -> str:  # the edge into each vector after the first
-            last.append(vector)
-            return trees.dot_edge(idx - 1, trees.step_label(last.pop(0), vector)) if idx else ""
+        def label(move) -> str:  # the run of v moving right lowers inv[v] by one
+            return trees.coordinate_label(values[move.rank - 1], -1 if move.dir == RIGHT else 1)
 
-        _write_dot("path", (vectors, trees.dot_vector), (vectors, step))
+        edges = lambda add: stirling.loopless_steps(shape, label, lambda _, made: made and add(made))
+        _write_dot("path", (vectors, trees.dot_vector), (edges, trees.dot_edge))
     else:
         _write_chunks(vectors, lambda v: ",".join(map(str, v)), _lines)
     return 0
@@ -354,8 +356,15 @@ def _cmd_path(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors start with "error: ", as every other error does."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n{self.format_usage()}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="swordgen",
         description="Gray codes for pattern-avoiding words with repeated letters.",
     )

@@ -347,19 +347,24 @@ def generate_greedy(
     """The greedy run from `start` (default: nondecreasing word) over the
     language of words avoiding `patterns`: `greedy_walk`, walked whole."""
     walk = greedy_walk(shape, patterns, start=start, cap=cap)
+    feed = lambda visit: collections.deque(itertools.starmap(visit, walk), maxlen=0)
+    return collect_run(shape, walk.patterns, feed, walk.size)
+
+
+def collect_run(shape: Shape, patterns: frozenset[Word], feed, size: int) -> GrayCodeRun:
+    """The run that a feed of words and moves gives, as `verify_feed` takes
+    it: `feed(visit)` calls `visit(word, move)` for each word, with the move
+    into it (None for the first word).  Complete when it has `size` words."""
     words, moves = [], []
-    for word, move in walk:
-        words.append(word)
+
+    def keep(word, move) -> None:
+        words.append(tuple(word))
         moves.append(move)
-    complete = len(words) == walk.size
-    return GrayCodeRun(
-        shape,
-        walk.patterns,
-        tuple(words),
-        tuple(moves[1:]),
-        complete,
-        EXHAUSTED if complete else NO_NEW_BUMP,
-    )
+
+    feed(keep)
+    complete = len(words) == size
+    halted = EXHAUSTED if complete else NO_NEW_BUMP
+    return GrayCodeRun(shape, patterns, tuple(words), tuple(moves[1:]), complete, halted)
 
 
 def verify_gray_code(run: GrayCodeRun, cap: int | None = None) -> GrayCodeReport:

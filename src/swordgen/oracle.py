@@ -236,13 +236,8 @@ def tree_level(
     level: list[Word] = [()]
     for v, copies in enumerate(shape.multiplicities, 1):
         for _ in range(copies):
-            level = [child for parent in level for child in _members(parent, v, live)]
+            level = [child for parent in level for child in insertions(parent, v, live)]
     return level
-
-
-def _members(parent: Word, v: int, live: frozenset[Word]) -> list[Word]:
-    # the insertions of v into a member that avoid the live patterns
-    return [parent[:p] + (v,) + parent[p:] for p in member_points(parent, v, live)]
 
 
 def member_points(parent: Word, v: int, live: frozenset[Word]) -> range | list[int]:
@@ -279,15 +274,16 @@ def count_avoiding(
     return multinomial(shape)
 
 
-def insertions(word: Word, v: int) -> list[Word]:
+def insertions(word: Word, v: int, live: frozenset[Word] = frozenset()) -> list[Word]:
     """The words made by inserting `v` into `word` right of its last copy
     of v (anywhere without one), from the last point of insertion to the
-    first: lexicographically ascending when v is the largest letter.
+    first: lexicographically ascending when v is the largest letter.  With
+    `live`, those that avoid it, from a member `word` (`member_points`).
 
     >>> insertions((1, 2, 1), 2)
     [(1, 2, 1, 2), (1, 2, 2, 1)]
     """
-    return [word[:p] + (v,) + word[p:] for p in _insertion_points(word, v)]
+    return [word[:p] + (v,) + word[p:] for p in member_points(word, v, live)]
 
 
 def _insertion_points(word: Word, v: int) -> range:
@@ -331,7 +327,7 @@ def children(word2: Word, shape: Shape, patterns=frozenset()) -> list[Word]:
     live = live_patterns(shape, patterns)
     # parent_word removes exactly a copy of m inserted right of the others;
     # a member parent needs only its children's occurrences through that copy
-    out = _members(word2, shape.m, live) if avoids_all(word2, live) else []
+    out = insertions(word2, shape.m, live) if avoids_all(word2, live) else []
     if not out:
         raise WordError(f"{word2} is not in the parent language")
     return out

@@ -10,10 +10,10 @@ regardless of word length.  Every visited word keeps the copies of each
 value adjacent-or-separated only by smaller digits, which is exactly
 avoidance of 212.
 
-`_loopless` is the one implementation of the loop: it counts, feeds
-the words (`generate_loopless`), or the words with their moves
-(`loopless_steps`), to a consumer as it runs, and feeds the per-visit
-variable trace (`trace_rows`).
+`_loopless` is the one implementation of the loop, driven only here: its
+views feed the words (`generate_loopless`), the words with their moves
+(`loopless_steps`), the inversion vectors (`inversion_vectors`) or the
+per-visit variable trace (`trace_rows`) to a consumer as the loop runs.
 `step_stats` traces that same loop and counts the lines run from one
 visit to the next; like any line count, it does not see work hidden
 inside one line, such as a call or a slice.
@@ -21,15 +21,12 @@ inside one line, such as a call or a slice.
 
 from __future__ import annotations
 
-import ast
-import inspect
 import sys
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import oracle
 from .bumps import LEFT, RIGHT, BumpMove
-from .greedy import EXHAUSTED, GrayCodeRun
+from .greedy import GrayCodeRun, collect_run
 from .words import Shape, Word, make_shape, nondecreasing_word
 
 
@@ -49,13 +46,17 @@ def _initial_state(shape: Shape):
     return m, s, t, perm, left, inv, fs, dirs
 
 
-def _loopless(shape: Shape, on_visit=None) -> int:
+def _no_visit(perm, v, u, i, j, left, inv, fs, dirs) -> None:
+    """The visitor of a loop that only counts."""
+
+
+def _loopless(shape: Shape, on_visit=_no_visit) -> int:
     """Drive the loop and return the visit count.
 
-    When given, `on_visit(perm, v, u, i, j, left, inv, fs, dirs)` sees the
-    live state exactly as it stands when the visit fires: the move
-    described by (v, u, i, j) is applied to `perm` right after the
-    callback returns.  The final visit passes v = 1 and u = i = j = None.
+    `on_visit(perm, v, u, i, j, left, inv, fs, dirs)` sees the live state
+    exactly as it stands when the visit fires: the move described by
+    (v, u, i, j) is applied to `perm` right after the callback returns.
+    The final visit passes v = 1 and u = i = j = None.
 
     The largest value m is the fastest digit of the Gray code: once a pass
     moves m off one end of its sweep, m alone moves for the next t[m] - 1
@@ -84,8 +85,7 @@ def _loopless(shape: Shape, on_visit=None) -> int:
         else:
             u = i = j = None
         count += 1
-        if on_visit is not None:
-            on_visit(perm, v, u, i, j, left, inv, fs, dirs)
+        on_visit(perm, v, u, i, j, left, inv, fs, dirs)
         if u is None:
             return count
         perm[i - 1], perm[j - 1] = u, v
@@ -104,8 +104,7 @@ def _loopless(shape: Shape, on_visit=None) -> int:
             for j in range(j + d, j + d * t[m], d):
                 i += d
                 u = perm[j - 1]
-                if on_visit is not None:
-                    on_visit(perm, m, u, i, j, left, inv, fs, dirs)
+                on_visit(perm, m, u, i, j, left, inv, fs, dirs)
                 perm[i - 1] = u
                 perm[j - 1] = m
                 left[m] += d
@@ -131,6 +130,13 @@ def generate_loopless(
     return _loopless(shape, lambda perm, v, u, i, j, left, inv, fs, dirs: visit(perm))
 
 
+def inversion_vectors(shape: Shape, visit: Callable[[tuple[int, ...]], None]) -> int:
+    """Feed the inversion vector of each word of the order to `visit`, and
+    return how many there were.  Read from the loop's live `inv`, which is
+    the inversion vector of the word at each visit."""
+    return _loopless(shape, lambda perm, v, u, i, j, left, inv, fs, dirs: visit(tuple(inv[1:])))
+
+
 def _check_output(shape: Shape) -> None:
     """Raise SizeLimitError before materialising more words than the
     default cap.  The default and not a caller's cap: `verify --cap`
@@ -154,22 +160,8 @@ def loopless_run(shape: Shape) -> GrayCodeRun:
     """Collect the sequence as a GrayCodeRun: the words and moves that
     `loopless_steps` feeds."""
     _check_output(shape)
-    words: list[Word] = []
-    moves: list[BumpMove] = []
-
-    def grab(perm, move):  # None, the move into the first word, is dropped
-        words.append(tuple(perm))
-        moves.append(move)
-
-    loopless_steps(shape, lambda move: move, grab)
-    return GrayCodeRun(
-        shape,
-        oracle.STIRLING_PATTERNS,
-        tuple(words),
-        tuple(moves[1:]),
-        True,
-        EXHAUSTED,
-    )
+    feed = lambda visit: loopless_steps(shape, lambda move: move, visit)
+    return collect_run(shape, oracle.STIRLING_PATTERNS, feed, oracle.stirling_count(shape))
 
 
 def loopless_steps(
@@ -202,8 +194,7 @@ def loopless_steps(
     _loopless(shape, grab)
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     """One visit's variables; the last row has no move, so u/i/j are None."""
 
     perm: Word
@@ -217,56 +208,51 @@ class TraceRow:
     dirs: tuple[int, ...]
 
 
-def trace_rows(shape: Shape, visit: Callable[[tuple], None]) -> int:
-    """Feed each visit's (perm, v, u, i, j, left, inv, fs, dirs) to `visit`
-    as one tuple, the fields of a `TraceRow`, and return the visit count."""
-    _check_output(shape)
+def trace_rows(shape: Shape, visit: Callable[[TraceRow], None]) -> int:
+    """Feed each visit's variables to `visit` as a `TraceRow`, and return
+    the visit count."""
 
     def grab(perm, v, u, i, j, *arrays):
         # the arrays left, inv, fs and dirs, without their unused slot 0
-        visit((tuple(perm), v, u, i, j, *(tuple(a[1:]) for a in arrays)))
+        visit(TraceRow(tuple(perm), v, u, i, j, *(tuple(a[1:]) for a in arrays)))
 
     return _loopless(shape, grab)
 
 
 def trace(shape: Shape) -> list[TraceRow]:
     """Per-visit snapshots of (perm, v, u, i, j, left, inv, fs, dirs)."""
+    _check_output(shape)
     rows: list[TraceRow] = []
-    trace_rows(shape, lambda row: rows.append(TraceRow(*row)))
+    trace_rows(shape, rows.append)
     return rows
 
 
 def step_stats(shape: Shape) -> tuple[int, int]:
     """(visit count, most lines run from one visit to the next): a maximum
     that stays constant across shapes is the loopless claim in checkable
-    form.  Traces `_loopless` itself, handing each word to a no-op visitor
-    whose lines are not counted; every line that calls `on_visit` marks a
-    visit, the final one too.  The lines before the first visit and after
-    the last are not recorded."""
+    form.  Traces the lines of `_loopless` itself, handing each word to
+    the no-op visitor `_no_visit`, whose call marks a visit, the final one
+    too, and whose lines are not counted.  The lines before the first
+    visit and after the last are not recorded."""
     loop = _loopless  # looked up per call, so a test can substitute it
-    lines, first = inspect.getsourcelines(loop)
-    marks = {
-        first + n.lineno - 1
-        for n in ast.walk(ast.parse("".join(lines)))
-        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "on_visit"
-    }
-    steps = max_steps = 0
+    steps, max_steps = float("-inf"), 0  # lines since the latest visit
 
-    def count_lines(frame, event, arg):
-        nonlocal steps, max_steps
-        if frame.f_lineno in marks:
-            max_steps = max(max_steps, steps)
-            steps = 0
+    def count_line(frame, event, arg):
+        nonlocal steps
         steps += 1
-        return count_lines
+        return count_line
 
-    def wait_for_visit(frame, event, arg):
-        return count_lines(frame, event, arg) if frame.f_lineno in marks else wait_for_visit
+    def on_call(frame, event, arg):
+        nonlocal steps, max_steps
+        if frame.f_code is _no_visit.__code__:
+            max_steps, steps = max(max_steps, steps), 0
+            return None
+        return count_line if frame.f_code is loop.__code__ else None
 
     caller = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: wait_for_visit if frame.f_code is loop.__code__ else None)
+    sys.settrace(on_call)
     try:
-        count = loop(shape, lambda *_: None)
+        count = loop(shape, _no_visit)
     finally:
         sys.settrace(caller)
     return count, max_steps

@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Union
 from . import oracle
 from .greedy import GrayCodeRun
 from .patterns import avoids_212, avoids_all
-from .stirling import _check_output, _loopless
+from .stirling import _check_output, inversion_vectors
 from .words import Shape, Word, WordError, check_word, format_word, shape_of_word
 
 InvVector = tuple[int, ...]
@@ -176,17 +176,10 @@ def word_from_inversion_vector(shape: Shape, iv: Sequence[int]) -> Word:
     return tuple(out)
 
 
-def inversion_vectors(shape: Shape, visit) -> int:
-    """Feed the inversion vector of each word of the generated order to
-    `visit`, and return how many there were.  Read from the loop's live
-    `inv`, which is the inversion vector of the word at each visit."""
-    return _loopless(shape, lambda perm, v, u, i, j, left, inv, fs, dirs: visit(tuple(inv[1:])))
-
-
 def hamilton_path(shape: Shape) -> list[InvVector]:
     """Inversion vectors along the generated order: every vector in the
     box Π[0..t_v] exactly once, consecutive ones differing by one step in
-    one coordinate."""
+    one coordinate (`stirling.inversion_vectors`, collected)."""
     _check_output(shape)
     out: list[InvVector] = []
     inversion_vectors(shape, out.append)
@@ -290,12 +283,16 @@ def move_label(mv) -> str:
     return f"r{mv.rank}{mv.dir} w{mv.width} d{mv.distance}"
 
 
+def coordinate_label(v: int, delta: int) -> str:
+    """The label of a step that changes coordinate v by delta = ±1."""
+    return f"v{v}{'+' if delta > 0 else '-'}1"
+
+
 def step_label(a, b) -> str:
     """The label of a step from vector a to b: "v{i}+1" or "v{i}-1", else empty."""
     diff = [(idx, y - x) for idx, (x, y) in enumerate(zip(a, b), start=1) if x != y]
     if len(diff) == 1 and abs(diff[0][1]) == 1:
-        idx, delta = diff[0]
-        return f"v{idx}{'+' if delta > 0 else '-'}1"
+        return coordinate_label(*diff[0])
     return ""
 
 

@@ -153,9 +153,10 @@ def format_word(word: Word) -> str:
     return ",".join(str(d) for d in word)
 
 
-def parse_shape(text: str) -> Shape:
+def parse_shape(text: str, letters: bool = True) -> Shape:
     """Parse "2,1,3" with optional v^k items, e.g. "2^3" -> (2, 2, 2).  More
-    values than the default cap raise SizeLimitError before the list is built."""
+    values than the default cap raise SizeLimitError before the list is
+    built, and more letters (unless `letters` is False) before any word is."""
     from .oracle import SizeLimitError, resolve_cap  # oracle imports words
     items: list[tuple[int, int]] = []
     for part in text.strip().split(","):
@@ -171,7 +172,10 @@ def parse_shape(text: str) -> Shape:
     m, limit = sum(k for _, k in items), resolve_cap()
     if m > limit:
         raise SizeLimitError(f"shape has {m} values, over the cap of {limit}")
-    return make_shape([s for s, k in items for _ in range(k)])
+    shape = make_shape([s for s, k in items for _ in range(k)])
+    if letters and shape.n > limit:
+        raise SizeLimitError(f"shape has {shape.n} letters, over the cap of {limit}")
+    return shape
 
 
 def format_shape(shape: Shape) -> str:

@@ -451,6 +451,18 @@ class TestOutputBound:
 
     @pytest.mark.parametrize(
         "argv",
+        [("generate", "--shape", "99999999999999999999"), ("verify", "--shape", "1,99999999999999999999")],
+    )
+    def test_shape_with_too_many_letters_is_refused(self, capsys, argv):
+        # 10^20 letters: refused while parsing, before the sorted word is built
+        begin = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - begin < 1.0
+        assert code == 3 and out == "" and "cap" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
         [
             ("generate", "--shape", "1^2000"),
             ("verify", "--shape", "1^2000"),
@@ -711,6 +723,22 @@ class TestTreesAndPath:
         assert code == 0
         assert out.startswith("digraph path {")
         assert 'w0 -> w1 [label="v2+1"];' in out
+
+    def test_dot_equals_the_built_payload_up_to_7(self, capsys, monkeypatch):
+        # `path` labels its edges from the loop's steps, never by diffing vectors
+        def refuse(*args):
+            raise AssertionError("path diffed two vectors")
+
+        for n in range(1, 8):
+            for shape in all_shapes(n):
+                text = format_shape(shape)
+                expected = trees.export_dot(trees.hamilton_path(shape))
+                with monkeypatch.context() as patch:
+                    patch.setattr(trees, "step_label", refuse)
+                    assert run_cli(capsys, "path", "--shape", text, "--format", "dot") == (0, expected, "")
+                expected = trees.export_dot(stirling.loopless_run(shape))
+                argv = ("generate", "--shape", text, "--avoid", "212", "--format", "dot")
+                assert run_cli(capsys, *argv) == (0, expected, ""), text
 
     def test_generate_dot(self, capsys):
         code, out, _ = run_cli(

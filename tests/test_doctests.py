@@ -28,3 +28,11 @@ def test_readme_quick_start(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
     assert capsys.readouterr().out.splitlines()[0] == "112333"
+
+
+def test_readme_states_the_src_line_count():
+    # the count that `cat src/swordgen/*.py | wc -l` prints
+    lines = sum(path.read_bytes().count(b"\n") for path in (README.parent / "src" / "swordgen").glob("*.py"))
+    stated = re.search(r"`cat src/swordgen/\*\.py \| wc -l`\s+counts\s+([\d,]+)\s+lines", README.read_text())
+    assert stated, "README no longer states the src/ line count"
+    assert int(stated[1].replace(",", "")) == lines
