@@ -34,6 +34,8 @@ from .words import Shape, format_word, nondecreasing_word, parse_shape, parse_wo
 CHUNK = 4096
 # a word of digits 1..9 is its bytes, translated to ASCII a chunk at a time
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+# each number 0..255 as the width of its digits
+_WIDTHS = bytes.maketrans(bytes(range(256)), bytes(len(str(d)) for d in range(256)))
 
 
 def _parse_avoid(text: str | None):
@@ -53,29 +55,36 @@ def _cap(text: str) -> int:
 # push from the loop as it runs.
 
 
-def _write_chunks(feed, convert, render, sep: str = ""):
-    """Run `feed` with a visitor that keeps `convert(item)` of each item;
-    every CHUNK kept items, and the rest at the end, go to `sys.stdout` in
-    one write as `render(kept)`, writes after the first led by `sep`.
-    `sys.stdout` is looked up at each write.  Returns what `feed` returns."""
+def _chunks(feed, convert, take):
+    """Run `feed` with a visitor that keeps `convert(item)` of each item and
+    hands every CHUNK kept items, and the rest at the end, to `take`.
+    Returns what `feed` returns."""
     kept: list = []
-    lead = ""
-
-    def flush() -> None:
-        nonlocal lead
-        if kept:
-            sys.stdout.write(lead + render(kept))
-            lead = sep
-            kept.clear()
 
     def add(item) -> None:
         kept.append(convert(item))
         if len(kept) == CHUNK:
-            flush()
+            take(kept)
+            kept.clear()
 
     result = feed(add)
-    flush()
+    if kept:
+        take(kept)
     return result
+
+
+def _write_chunks(feed, convert, render, sep: str = ""):
+    """`_chunks`, each chunk going to `sys.stdout` in one write as
+    `render(kept)`, writes after the first led by `sep`.  `sys.stdout` is
+    looked up at each write.  Returns what `feed` returns."""
+    lead = ""
+
+    def write(kept) -> None:
+        nonlocal lead
+        sys.stdout.write(lead + render(kept))
+        lead = sep
+
+    return _chunks(feed, convert, write)
 
 
 def _lines(kept: list[str]) -> str:
@@ -233,14 +242,25 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _trace_cell(name: str, value) -> str:
-    if value is None:
-        return "-"
-    if name == "dirs":
-        return "".join("+" if d > 0 else "-" for d in value)
-    if isinstance(value, tuple):
-        return format_word(value)
-    return str(value)
+def _word_cells(words) -> list[str]:
+    # `format_word` of each word, one of digits 0..9 translated from its bytes
+    return [
+        bytes(w).translate(_DIGITS).decode() if max(w) <= 9 else ",".join(map(str, w))
+        for w in words
+    ]
+
+
+def _widest(words) -> int:
+    """The width of the widest `format_word` of `words`, all of one length,
+    from their values: the length while every digit is below 10, else each
+    number's width (`_WIDTHS`) plus the commas."""
+    top, size = max(map(max, words)), len(words[0])
+    if top <= 9:
+        return size
+    if top > 255:  # too large for a byte
+        return max(map(len, _word_cells(words)))
+    widths = map(bytes.translate, map(bytes, words), itertools.repeat(_WIDTHS))
+    return max(map(sum, widths)) + size - 1
 
 
 def _cmd_trace(args) -> int:
@@ -253,23 +273,31 @@ def _cmd_trace(args) -> int:
         _write_json(payload, rows=(rows, stirling.TraceRow._asdict, _json_items))
         return 0
 
-    def cells(row) -> list[str]:
-        return [_trace_cell(name, value) for name, value in zip(names, row)]
+    # the loop runs twice, a chunk of rows at a time, column by column: once
+    # for the widths, taken from the values, then for the lines, each cell
+    # built once.  The perm and dirs cells all have one width, and a missing
+    # move's "-" is as wide as a 0
+    numbers, words = [0] * 4, [0] * 3  # each column's largest number, widest word
 
-    def line(texts) -> str:
-        return "  ".join(text.ljust(w) for text, w in zip(texts, widths)).rstrip()
+    def widen(kept) -> None:
+        _, *numeric, left, inv, fs, _ = zip(*kept)
+        numbers[:] = map(max, numbers, (max(filter(None, col), default=0) for col in numeric))
+        words[:] = map(max, words, map(_widest, (left, inv, fs)))
 
-    # the loop runs twice: once for the column widths, then for the lines
-    widths = [len(name) for name in names]
+    _chunks(rows, tuple, widen)
+    sizes = (_widest([nondecreasing_word(shape)]), *map(len, map(str, numbers)), *words, shape.m)
+    widths = list(map(max, map(len, names), sizes))
+    signs = functools.cache(lambda dirs: "".join("+" if d > 0 else "-" for d in dirs))
 
-    def widen(row) -> None:
-        for c, cell in enumerate(cells(row)):
-            if len(cell) > widths[c]:
-                widths[c] = len(cell)
+    def table(kept) -> str:
+        perm, *numeric, left, inv, fs, dirs = zip(*kept)
+        numeric = (["-" if x is None else str(x) for x in col] for col in numeric)
+        cells = (_word_cells(perm), *numeric, *map(_word_cells, (left, inv, fs)), map(signs, dirs))
+        padded = map(map, itertools.repeat(str.ljust), cells, map(itertools.repeat, widths))
+        return "\n".join(map(str.rstrip, map("  ".join, zip(*padded)))) + "\n"
 
-    rows(widen)
-    sys.stdout.write(line(names) + "\n")
-    _write_chunks(rows, lambda row: line(cells(row)), _lines)
+    sys.stdout.write("  ".join(map(str.ljust, names, widths)).rstrip() + "\n")
+    _write_chunks(rows, tuple, table)
     return 0
 
 

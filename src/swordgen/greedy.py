@@ -321,19 +321,17 @@ def greedy_walk(
     size = oracle.formula_count(shape, pats)
     if size is None:
         size = oracle.formula_count(shape, live)
-    closed = size is not None
-    if closed:
-        # a closed form sizes the language: test each candidate directly
-        member = oracle.member_test(live)
-    else:
+    # from the nondecreasing word a zig-zag language is swept on the tree
+    sweep = word == nondecreasing_word(shape) and all(map(zigzag_pattern, live))
+    if size is None and not sweep:
+        # the scan on a set with no closed form: list the language once
         lang = frozenset(oracle.language(shape, live, cap))
         member, size = lang.__contains__, len(lang)
-    # from the nondecreasing word a zig-zag language is swept on the tree,
-    # unless it was listed: then the scan's test is one set lookup a word,
-    # cheaper than the sweep's search for occurrences through each copy
-    sweep = (
-        closed and word == nondecreasing_word(shape) and all(map(zigzag_pattern, live))
-    )
+    else:
+        # a closed form or the tree sizes the language: test candidates directly
+        member = oracle.member_test(live)
+        if size is None:
+            size = oracle.count_avoiding(shape, live, cap)
     return GreedyWalk(shape, pats, word, member, size, live, sweep)
 
 

@@ -18,7 +18,7 @@ import sys
 from functools import lru_cache
 from typing import Callable
 
-from .patterns import avoids_212, avoids_all, normalize_patterns, occurrence_points
+from .patterns import avoids_212, avoids_all, free_points, normalize_patterns
 from .words import Shape, Word, WordError, make_shape, nondecreasing_word, validate_word
 
 DEFAULT_CAP = 10_000_000
@@ -250,10 +250,7 @@ def member_points(parent: Word, v: int, live: frozenset[Word]) -> range | list[i
     [2, 0]
     """
     points = _insertion_points(parent, v)
-    if not live:
-        return points
-    occupied = set().union(*(occurrence_points(parent, v, pat) for pat in live))
-    return [p for p in points if p not in occupied]
+    return free_points(live)(parent, v, points) if live else points
 
 
 def count_avoiding(

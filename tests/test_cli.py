@@ -518,6 +518,18 @@ class TestVerify:
         assert "words: 10080" in out.splitlines()
         assert "exhaustive: True" in out.splitlines()
 
+    def test_zigzag_set_without_a_closed_form_lists_no_words(self, capsys, monkeypatch):
+        # {231} is sized on the generating tree and swept, and verified there
+        def refuse(*args, **kwargs):
+            raise AssertionError("listed the language")
+
+        monkeypatch.setattr(oracle, "language", refuse)
+        code, out, _ = run_cli(capsys, "generate", "--shape", "1^7", "--avoid", "231")
+        assert code == 0 and len(out.splitlines()) == 429
+        code, out, _ = run_cli(capsys, "verify", "--shape", "1^7", "--avoid", "231")
+        assert code == 0
+        assert "exhaustive: True" in out.splitlines()
+
     def test_incomplete_is_a_negative_verdict(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--shape", "1,1,1", "--avoid", "312")
         assert code == 1

@@ -6,9 +6,11 @@ shapes, pattern sets and options, valid and malformed, through
 Every call must return 0, 1, 2 or 3 and never raise; exit 2 (malformed
 input) and exit 3 (over the cap) must print nothing to stdout and a
 message starting with "error: " to stderr, and exit 3 must come in under
-a second.  The default cap is lowered to 3,000 words so that every call
-that does its work stays small.  Tier-1 runs a fixed budget; a larger,
-random one runs with SWORDGEN_FUZZ_EXAMPLES=N.
+a second.  A `count` that exits 0 on at most seven letters must print the
+size of the language that the literal filter `oracle.language` lists.
+The default cap is lowered to 3,000 words so that every call that does
+its work stays small.  Tier-1 runs a fixed budget; a larger, random one
+runs with SWORDGEN_FUZZ_EXAMPLES=N.
 """
 
 import contextlib
@@ -21,6 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swordgen.cli import parse_and_dispatch
+from swordgen.oracle import language
+from swordgen.words import parse_shape
 
 from test_cli_golden import PATTERN_SETS
 
@@ -96,3 +100,10 @@ def test_every_call_exits_with_a_code_and_a_message(argv):
         assert err.startswith("error: "), (argv, code, err)
     if code == 3:
         assert seconds < 1.0, (argv, seconds)
+    if code == 0 and argv[0] == "count":
+        # every flag of a call that exits 0 carries a value; the last one counts
+        options = dict(zip(argv[1::2], argv[2::2]))
+        shape = parse_shape(options["--shape"], letters=False)  # a formula may count huge ones
+        if shape.n <= 7:
+            pats = [p for p in options.get("--avoid", "").split(",") if p.strip()]
+            assert out == f"{len(language(shape, pats))}\n", (argv, out)

@@ -171,6 +171,18 @@ def holds_somewhere(shape, pattern):
     return any(contains_pattern(w, pattern) for w in all_swords(shape))
 
 
+def member_points_of(parent, top, pats):
+    return list(oracle.member_points(parent, top, frozenset(pats)))
+
+
+def reference_points(parent, top, pats):
+    """The points right of every copy of `top`, from the last, that no
+    pattern's `occurrence_points` names."""
+    first = len(parent) - parent[::-1].index(top) if top in parent else 0
+    occupied = set().union(*(occurrence_points(parent, top, p) for p in pats))
+    return [p for p in range(len(parent), first - 1, -1) if p not in occupied]
+
+
 class TestGeneratingTree:
     @pytest.mark.parametrize("pats", TREE_PATTERN_SETS, ids=lambda p: ",".join(p) or "none")
     def test_tree_count_matches_brute_force(self, pats):
@@ -184,19 +196,51 @@ class TestGeneratingTree:
     @settings(deadline=None, max_examples=200)
     @given(
         st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda s: sum(s) <= 7),
-        st.sampled_from(NORMALISED_PATTERNS),
+        st.sets(st.sampled_from(NORMALISED_PATTERNS), min_size=1, max_size=3),
         st.data(),
     )
-    def test_occurrence_points_on_children_of_an_avoider(self, mult, pattern, data):
+    def test_occurrence_points_on_children_of_an_avoider(self, mult, pats, data):
         # inserting the largest value right of its copies: a child contains
-        # the pattern exactly at the points the through-copy test names
+        # a pattern exactly at the points the through-copy test names, and
+        # `member_points` names exactly the children that avoid them all
         parent = tuple(data.draw(st.permutations(nondecreasing_word(make_shape(tuple(mult))))))
-        assume(not contains_pattern(parent, pattern))
+        assume(avoids_all(parent, pats))
         top = max(parent) + data.draw(st.integers(0, 1))
-        points = occurrence_points(parent, top, pattern)
+        free = []
         for child in oracle.insertions(parent, top):
             p = len(child) - child[::-1].index(top) - 1
-            assert (p in points) == contains_pattern(child, pattern), (child, pattern)
+            for pattern in pats:
+                points = occurrence_points(parent, top, pattern)
+                assert (p in points) == contains_pattern(child, pattern), (child, pattern)
+            if avoids_all(child, pats):
+                free.append(p)
+        assert list(oracle.member_points(parent, top, frozenset(pats))) == free, (parent, pats)
+
+    def test_member_points_equal_the_reference_on_every_avoider(self):
+        # every pattern of at most three letters, on every parent with n <= 6
+        # that avoids it, with its largest value or one above it inserted
+        for total in range(1, 7):
+            for shape in all_shapes(total):
+                words = all_swords(shape)
+                for pattern in (p for p in NORMALISED_PATTERNS if len(p) <= 3):
+                    for parent in words:
+                        if contains_pattern(parent, pattern):
+                            continue
+                        for top in (shape.m, shape.m + 1):
+                            assert member_points_of(parent, top, {pattern}) == reference_points(
+                                parent, top, [pattern]
+                            ), (parent, top, pattern)
+
+    def test_longer_patterns_take_the_reference(self):
+        # four letters and more, alone and beside the one-pass rules
+        for pats in ({(1, 2, 1, 2)}, {(2, 1, 2, 1), (1, 3, 2)}, {(1, 2, 1, 2, 1), (3, 1, 2)}):
+            for total in range(1, 6):
+                for shape in all_shapes(total):
+                    for parent in language(shape, pats):
+                        for top in (shape.m, shape.m + 1):
+                            assert member_points_of(parent, top, pats) == reference_points(
+                                parent, top, pats
+                            ), (parent, top, pats)
 
     def test_live_patterns_match_brute_force(self):
         for total in range(1, 7):
