@@ -52,7 +52,7 @@ def _cap(text: str) -> int:
 
 # --- output -----------------------------------------------------------------
 # A feed hands items to the visitor it is given: the loopless engine's feeds
-# push from the loop as it runs.
+# push from the loop as it runs, and a greedy walk as it chooses each word.
 
 
 def _chunks(feed, convert, take):
@@ -139,19 +139,6 @@ def _write_dot(name: str, *lists) -> int:
     return counts[0]
 
 
-def _walk_words(walk: greedy.GreedyWalk, visit, moves: list | None = None, make=_move_json) -> int:
-    """Feed the words of a greedy walk to `visit` as they are chosen, and
-    return how many there were.  With `moves`, append to it each move's
-    `make(move)`, made once per distinct move."""
-    make = functools.cache(make)
-    count = 0
-    for count, (word, move) in enumerate(walk, 1):
-        visit(word)
-        if moves is not None and move is not None:
-            moves.append(make(move))
-    return count
-
-
 # --- subcommands ------------------------------------------------------------
 
 
@@ -184,10 +171,21 @@ def _cmd_generate(args) -> int:
         # the loop runs once for the words and, in JSON and DOT, once for the moves
         words = functools.partial(stirling.generate_loopless, shape)
         moves = lambda add: stirling.loopless_steps(shape, make, lambda _, move: move and add(move))
+    elif args.format == "text":
+        words = lambda visit: walk(lambda word, _: visit(word))
     else:
-        # the walk runs once; JSON and DOT keep the moves until the words are out
-        kept = [] if args.format != "text" else None
-        words = functools.partial(_walk_words, walk, moves=kept, make=make)
+        # the walk runs once; JSON and DOT keep each move's text, made once
+        # per distinct move, until the words are out
+        made, kept = functools.cache(make), []
+
+        def words(visit) -> int:
+            def step(word, move) -> None:
+                visit(word)
+                if move is not None:
+                    kept.append(made(move))
+
+            return walk(step)
+
         moves = lambda add: collections.deque(map(add, kept), maxlen=0)
     if args.format == "json":
         engine = "loopless" if walk is None else "greedy"
@@ -216,10 +214,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_verify(args) -> int:
     shape, pats, size, walk = _setup(args)
-    if walk is None:
-        feed = functools.partial(stirling.loopless_steps, shape, lambda move: move)
-    else:
-        feed = lambda visit: collections.deque(itertools.starmap(visit, walk), maxlen=0)
+    feed = walk or functools.partial(stirling.loopless_steps, shape, lambda move: move)
     count, report = greedy.verify_feed(shape, pats, feed, args.cap)
     print(f"words: {count}")
     print(f"complete: {count == size}")
@@ -343,7 +338,7 @@ def _cmd_trees(args) -> int:
             raise ValueError("--kind kary needs a shape with equal multiplicities")
         k = shape.multiplicities[0] + 1
         walk = greedy.greedy_walk(shape, oracle.KCATALAN_PATTERNS, cap=args.cap)
-        words = functools.partial(_walk_words, walk)
+        words = lambda visit: walk(lambda word, _: visit(word))
         tree = lambda word: trees.kcatalan_word_to_tree(word, k)
     text = lambda word: str(tree(word))
     if args.format == "json":

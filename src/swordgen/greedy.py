@@ -8,16 +8,20 @@ largest rank, i.e. the rank of the block's leading digit; rightward beats
 leftward on ties, and the narrower block wins what remains.  Blocks are
 tried in that order and the first whose minimal bump reaches an unvisited
 word is applied.  It halts when no such bump exists.
-Started from the nondecreasing word of a zig-zag language this yields a
+Started from the nondecreasing word of a zig-zag language this gives a
 bump Gray code; on other languages the run may stop early, which is
 reported rather than raised.
-The engine is a walk (`greedy_walk`) that yields each word as it is
-chosen, so a reader can take the words while it runs; `generate_greedy`
-collects the walk into a `GrayCodeRun`.  The walk has two engines: the
-block scan (`_scan`), which keeps the visited words, and, from the
-nondecreasing word of a syntactically zig-zag language, the sweep on the
-generating tree (`_sweep`), which makes the same choices with no visited
-set and no membership test per candidate.
+The engine is a walk (`greedy_walk`), a feed like the loopless loop's
+views: called with a visitor, it hands the visitor each word with the move
+into it as the word is chosen, and returns the word count, so a reader
+takes the words while it runs; `generate_greedy` collects the walk into a
+`GrayCodeRun`.  The walk has two engines: the block scan (`_scan`), which
+keeps the visited words and tests each candidate against the live
+patterns, and, from the nondecreasing word of a syntactically zig-zag
+language, the sweep on the generating tree (`_sweep`), which makes the
+same choices with no visited set and no membership test per candidate.
+The language is sized by its closed form, else on the generating tree;
+no list of its words is made.
 
 Also here: one-pass Gray-code verification, a run's projection onto the
 parent language, and the JSON form of a run.
@@ -29,7 +33,7 @@ import collections
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from . import oracle
 from .bumps import LEFT, RIGHT, BumpError, BumpMove, classify_move
@@ -91,14 +95,16 @@ class GrayCodeReport:
         )
 
 
-def _scan(shape: Shape, start: Word, member: Callable[[Word], bool]):
-    """Yield each word after `start` with the move into it, as it is chosen."""
+def _scan(shape: Shape, start: Word, member: Callable[[Word], bool], visit) -> int:
+    """Call `visit(word, move)` for each word after `start`, with the move
+    into it, as it is chosen; return how many there were."""
     visited = {start}
     w = start
     while (step := _next_bump(shape, w, member, visited)) is not None:
-        w = step[0]
+        w, move = step
         visited.add(w)
-        yield step
+        visit(w, move)
+    return len(visited) - 1
 
 
 def _next_bump(
@@ -149,10 +155,11 @@ def _bump_blocks(shape: Shape, w: Word):
             lead -= 1
 
 
-def _sweep(shape: Shape, start: Word, live: frozenset[Word]):
-    """Yield each word after `start`, the nondecreasing word of a language
-    whose live patterns are all syntactically zig-zag, with the move into
-    it, as `_scan` would, but with no visited set.
+def _sweep(shape: Shape, start: Word, live: frozenset[Word], visit) -> int:
+    """Call `visit(word, move)` for each word after `start`, the
+    nondecreasing word of a language whose live patterns are all
+    syntactically zig-zag, as `_scan` would, but with no visited set;
+    return how many there were.
 
     Level k of the generating tree inserts the k-th letter of `start` into
     the word of the levels below, right of the copies of its value, so the
@@ -194,7 +201,7 @@ def _sweep(shape: Shape, start: Word, live: frozenset[Word]):
     for k in firsts[1:]:
         front[k] = False
         stack.append([k, None, 0])
-    w, moves = start, {}
+    w, moves, count = start, {}, 0
     while stack:
         entry = stack[-1]
         k, pts, i = entry
@@ -226,8 +233,9 @@ def _sweep(shape: Shape, start: Word, live: frozenset[Word]):
                     move = moves.get((p, q))
                     if move is None:
                         move = moves[p, q] = BumpMove(n, way, 1, abs(q - p), p + 1)
-                    yield w, move
+                    visit(w, move)
                     p = q
+                count += len(pts) - 1
                 pt[n], front[n] = p, way == LEFT
                 stack.pop()
                 continue
@@ -264,17 +272,19 @@ def _sweep(shape: Shape, start: Word, live: frozenset[Word]):
             while front[l] and l < last[l]:
                 l += 1
                 stack.append([l, None, 0])
-        yield w, move
+        visit(w, move)
+        count += 1
+    return count
 
 
 class GreedyWalk:
-    """A greedy run before it is walked.  Iterating it runs the walk,
-    yielding each visited word with the move into it (None for `start`) as
-    the word is chosen; each iteration walks afresh, by `_sweep` over the
-    `live` patterns when `sweep` is set and by `_scan` with `member`
-    otherwise.  `size` is the language's, so a walk of `size` words is
-    complete.  (A plain class: a dataclass would add a millisecond to every
-    command's start.)"""
+    """A greedy run before it is walked, as a feed: calling it with a
+    `visit` walks afresh, calls `visit(word, move)` for each visited word
+    with the move into it (None for `start`) as the word is chosen, and
+    returns the word count.  It walks by `_sweep` over the `live` patterns
+    when `sweep` is set and by `_scan` with `member` otherwise.  `size` is
+    the language's, so a walk of `size` words is complete.  (A plain class:
+    a dataclass would add a millisecond to every command's start.)"""
 
     def __init__(
         self,
@@ -289,12 +299,11 @@ class GreedyWalk:
         self.shape, self.patterns, self.start = shape, patterns, start
         self.member, self.size, self.live, self.sweep = member, size, live, sweep
 
-    def __iter__(self) -> Iterator[tuple[Word, Optional[BumpMove]]]:
-        yield self.start, None
+    def __call__(self, visit: Callable[[Word, Optional[BumpMove]], None]) -> int:
+        visit(self.start, None)
         if self.sweep:
-            yield from _sweep(self.shape, self.start, self.live)
-        else:
-            yield from _scan(self.shape, self.start, self.member)
+            return 1 + _sweep(self.shape, self.start, self.live, visit)
+        return 1 + _scan(self.shape, self.start, self.member, visit)
 
 
 def greedy_walk(
@@ -321,18 +330,11 @@ def greedy_walk(
     size = oracle.formula_count(shape, pats)
     if size is None:
         size = oracle.formula_count(shape, live)
+    if size is None:
+        size = oracle.count_avoiding(shape, live, cap)
     # from the nondecreasing word a zig-zag language is swept on the tree
     sweep = word == nondecreasing_word(shape) and all(map(zigzag_pattern, live))
-    if size is None and not sweep:
-        # the scan on a set with no closed form: list the language once
-        lang = frozenset(oracle.language(shape, live, cap))
-        member, size = lang.__contains__, len(lang)
-    else:
-        # a closed form or the tree sizes the language: test candidates directly
-        member = oracle.member_test(live)
-        if size is None:
-            size = oracle.count_avoiding(shape, live, cap)
-    return GreedyWalk(shape, pats, word, member, size, live, sweep)
+    return GreedyWalk(shape, pats, word, oracle.member_test(live), size, live, sweep)
 
 
 def generate_greedy(
@@ -345,8 +347,7 @@ def generate_greedy(
     """The greedy run from `start` (default: nondecreasing word) over the
     language of words avoiding `patterns`: `greedy_walk`, walked whole."""
     walk = greedy_walk(shape, patterns, start=start, cap=cap)
-    feed = lambda visit: collections.deque(itertools.starmap(visit, walk), maxlen=0)
-    return collect_run(shape, walk.patterns, feed, walk.size)
+    return collect_run(shape, walk.patterns, walk, walk.size)
 
 
 def collect_run(shape: Shape, patterns: frozenset[Word], feed, size: int) -> GrayCodeRun:

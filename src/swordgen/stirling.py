@@ -168,12 +168,13 @@ def loopless_steps(
     shape: Shape,
     make: Callable[[BumpMove], object],
     visit: Callable[[list[int], object], None],
-) -> None:
+) -> int:
     """Feed every word with the move into it, as `visit(perm, made)`, in
-    O(1) per step: `made` is `make(move)`, None for the first word, and
-    `perm` is the live word list, as `generate_loopless` gives it.  A move
-    is read from the live state (v, d, i), and there are at most 2mn of
-    them, so `make` runs once per distinct move."""
+    O(1) per step, and return how many there were: `made` is `make(move)`,
+    None for the first word, and `perm` is the live word list, as
+    `generate_loopless` gives it.  A move is read from the live state
+    (v, d, i), and there are at most 2mn of them, so `make` runs once per
+    distinct move."""
     s = (0,) + shape.multiplicities
     t = (0,) + shape.prefix
     made: dict[tuple[int, int, int], object] = {}
@@ -191,7 +192,7 @@ def loopless_steps(
                 rank, side = (t[v] + 1, RIGHT) if d == 1 else (t[v] + s[v], LEFT)
                 into = made[v, d, i] = make(BumpMove(rank, side, s[v], 1, i))
 
-    _loopless(shape, grab)
+    return _loopless(shape, grab)
 
 
 class TraceRow(NamedTuple):

@@ -129,8 +129,10 @@ class Replay:
     def __init__(self, run):
         self.run, self.patterns, self.size = run, run.patterns, len(run.words)
 
-    def __iter__(self):
-        return zip(self.run.words, (None,) + self.run.moves)
+    def __call__(self, visit):
+        for word, move in zip(self.run.words, (None,) + self.run.moves):
+            visit(word, move)
+        return self.size
 
 
 class TestStream:
@@ -254,8 +256,7 @@ class TestStream:
     def test_greedy_comma_form(self, capsys, monkeypatch):
         # m = 10 prints words in comma form.  The run (16,796 words, sized by
         # the k-Catalan formula) is made once and replayed to the command as
-        # its walk; a language without a closed form on 1^10 takes about a
-        # minute to list
+        # its walk
         run = generate_greedy(make_shape((1,) * 10), ("132", "121"))
         monkeypatch.setattr(swordgen.greedy, "greedy_walk", lambda *args, **kwargs: Replay(run))
         argv = ("generate", "--shape", "1^10", "--avoid", "132,121")
@@ -266,29 +267,40 @@ class TestStream:
         assert out == json.dumps(run_to_payload(run, "greedy")) + "\n"
 
     def test_greedy_stops_with_the_reader(self, monkeypatch):
-        # 40,320 words; the first write fails, as to a reader that has gone
-        walked = []
+        # 40,320 words; the first write that holds words fails, as to a
+        # reader that has gone: in text the first write, in JSON and DOT the
+        # second, after their head
+        walked, writes = [], []
 
         def counted(engine):
             def steps(*args):
-                for step in engine(*args):
-                    walked.append(step)
-                    yield step
+                *args, visit = args
+
+                def seen(word, move):
+                    walked.append(word)
+                    visit(word, move)
+
+                return engine(*args, seen)
 
             return steps
 
         def write(text):
-            raise BrokenPipeError
+            writes.append(text)
+            if len(writes) > fine:
+                raise BrokenPipeError
 
         # count the steps of whichever engine the walk runs
         for name in ("_scan", "_sweep"):
             monkeypatch.setattr(greedy, name, counted(getattr(greedy, name)))
         monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=write))
-        with pytest.raises(BrokenPipeError):
-            parse_and_dispatch(["generate", "--shape", "1^8", "--avoid", "12121"])
-        # the start and the steps after it, of a walk that did run
-        assert walked
-        assert 1 + len(walked) <= cli.CHUNK + 1
+        for fmt, fine in (("text", 0), ("json", 1), ("dot", 1)):
+            walked.clear()
+            writes.clear()
+            with pytest.raises(BrokenPipeError):
+                parse_and_dispatch(["generate", "--shape", "1^8", "--avoid", "12121", "--format", fmt])
+            # the start and the steps after it, of a walk that did run
+            assert walked, fmt
+            assert 1 + len(walked) <= cli.CHUNK + 1, fmt
 
     @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
     @pytest.mark.parametrize(

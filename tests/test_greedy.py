@@ -144,7 +144,7 @@ class TestEngineOptions:
         # sweeps, so the scan is driven directly
         shape, word = make_shape((20000,)), (1,) * 20000
         begin = time.perf_counter()
-        assert list(greedy._scan(shape, word, lambda w: True)) == []
+        assert collected(greedy._scan, shape, word, lambda w: True) == []
         assert time.perf_counter() - begin < 1.0
         run = generate_greedy(shape)
         assert run.words == (word,) and run.complete
@@ -158,16 +158,24 @@ class TestEngineOptions:
             generate_greedy(make_shape((2, 2)), start=(1, 1, 1, 2))
 
 
+def collected(engine, *args):
+    """The (word, move) steps that an engine hands its visitor, checked
+    against the count it returns."""
+    steps = []
+    assert engine(*args, lambda *step: steps.append(step)) == len(steps)
+    return steps
+
+
 def scan_steps(shape, pats):
     """The block scan's steps from the nondecreasing word, its member test
     the language built on the generating tree."""
     lang = frozenset(oracle.tree_level(shape, pats))
-    return list(greedy._scan(shape, nondecreasing_word(shape), lang.__contains__))
+    return collected(greedy._scan, shape, nondecreasing_word(shape), lang.__contains__)
 
 
 def sweep_steps(shape, pats):
     live = oracle.live_patterns(shape, pats)
-    return list(greedy._sweep(shape, nondecreasing_word(shape), live))
+    return collected(greedy._sweep, shape, nondecreasing_word(shape), live)
 
 
 @st.composite

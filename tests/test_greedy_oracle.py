@@ -21,7 +21,7 @@ from swordgen.zigzag import syntactic_zigzag
 
 PATTERN_SETS = [
     (), ("231",), ("12121",), ("132", "121"), ("132", "231", "121"),
-    ("212",), ("312",), ("121",), ("2121",), ("11",),
+    ("212",), ("312",), ("121",), ("2121",), ("11",), ("2112",), ("4321",),
 ]
 SHAPES = [shape for n in range(1, 6) for shape in all_shapes(n)]
 
@@ -70,7 +70,8 @@ def test_engine_follows_the_literal_rule(patterns):
         assert (list(run.words), list(run.moves)) == (words, moves)
         if syntactic_zigzag(patterns):
             # the sweep too, whichever engine the walk chose
-            sweep = list(_sweep(shape, start, live_patterns(shape, pats)))
+            sweep = []
+            _sweep(shape, start, live_patterns(shape, pats), lambda *step: sweep.append(step))
             assert sweep == list(zip(words[1:], moves))
         runs += 1
     assert runs >= 5  # at least the shapes 1^n, whose start avoids every set
