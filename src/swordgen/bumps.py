@@ -25,9 +25,7 @@ class BumpError(ValueError):
 
 
 class BumpMove(NamedTuple):
-    """One Gray-code transition: which rank moved, where, and how far.  A
-    named tuple: one is made per greedy step and per classified pair, and a
-    tuple is quicker to make and to compare than a frozen dataclass."""
+    """One Gray-code transition: which rank moved, where, and how far."""
 
     rank: int
     dir: str

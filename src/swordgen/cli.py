@@ -265,7 +265,7 @@ def _cmd_trace(args) -> int:
     names = stirling.TraceRow._fields
     if args.format == "json":  # tuples serialise as JSON arrays
         payload = {"format": 1, "shape": list(shape.multiplicities), "rows": []}
-        _write_json(payload, rows=(rows, stirling.TraceRow._asdict, _json_items))
+        _write_json(payload, rows=(rows, lambda row: dict(zip(names, row)), _json_items))
         return 0
 
     # the loop runs twice, a chunk of rows at a time, column by column: once

@@ -32,8 +32,7 @@ from __future__ import annotations
 import collections
 import itertools
 import operator
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import oracle
 from .bumps import LEFT, RIGHT, BumpError, BumpMove, classify_move
@@ -57,8 +56,7 @@ class InvalidStartError(ValueError):
     """Raised when the requested start word is outside the language."""
 
 
-@dataclass(frozen=True)
-class GrayCodeRun:
+class GrayCodeRun(NamedTuple):
     """A visit sequence with the moves between consecutive words.
 
     `complete` is True only when the visit count equals the language size.
@@ -72,8 +70,7 @@ class GrayCodeRun:
     halted_reason: str
 
 
-@dataclass(frozen=True)
-class GrayCodeReport:
+class GrayCodeReport(NamedTuple):
     """Outcome of checking a run; None flags were not decidable."""
 
     all_member: bool
@@ -81,7 +78,7 @@ class GrayCodeReport:
     exhaustive: Optional[bool]
     moves_valid: bool
     transpositions_only: bool
-    counterexamples: dict = field(default_factory=dict)
+    counterexamples: dict
 
     @property
     def ok(self) -> bool:
@@ -277,27 +274,21 @@ def _sweep(shape: Shape, start: Word, live: frozenset[Word], visit) -> int:
     return count
 
 
-class GreedyWalk:
+class GreedyWalk(NamedTuple):
     """A greedy run before it is walked, as a feed: calling it with a
     `visit` walks afresh, calls `visit(word, move)` for each visited word
     with the move into it (None for `start`) as the word is chosen, and
     returns the word count.  It walks by `_sweep` over the `live` patterns
     when `sweep` is set and by `_scan` with `member` otherwise.  `size` is
-    the language's, so a walk of `size` words is complete.  (A plain class:
-    a dataclass would add a millisecond to every command's start.)"""
+    the language's, so a walk of `size` words is complete."""
 
-    def __init__(
-        self,
-        shape: Shape,
-        patterns: frozenset[Word],
-        start: Word,
-        member,
-        size: int,
-        live: frozenset[Word],
-        sweep: bool,
-    ):
-        self.shape, self.patterns, self.start = shape, patterns, start
-        self.member, self.size, self.live, self.sweep = member, size, live, sweep
+    shape: Shape
+    patterns: frozenset[Word]
+    start: Word
+    member: Callable[[Word], bool]
+    size: int
+    live: frozenset[Word]
+    sweep: bool
 
     def __call__(self, visit: Callable[[Word, Optional[BumpMove]], None]) -> int:
         visit(self.start, None)
@@ -512,14 +503,19 @@ def run_to_payload(run: GrayCodeRun, engine: str) -> dict:
 
 
 def run_from_payload(payload: dict) -> GrayCodeRun:
-    """Rebuild a run from the form `run_to_payload` writes; a missing field,
-    or a digit that is not an int, raises ValueError naming the field."""
+    """Rebuild a run from the form `run_to_payload` writes; a payload that
+    is not an object, or a field that is missing or of the wrong type,
+    raises ValueError naming it."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"run payload is of type {type(payload).__name__}, not an object")
     try:
         shape = Shape(_digits(payload["shape"], "shape"))
-        words = tuple(_digits(w, "words") for w in payload["words"])
-        moves = tuple(BumpMove.from_json(mv) for mv in payload["moves"])
+        words = tuple(_digits(w, "words") for w in _list(payload["words"], "words"))
+        if not all(isinstance(mv, dict) for mv in _list(payload["moves"], "moves")):
+            raise ValueError("run payload field 'moves' holds a move that is not an object")
+        moves = tuple(map(BumpMove.from_json, payload["moves"]))
         complete = bool(payload["complete"])
-        patterns = frozenset(_digits(p, "patterns") for p in payload["patterns"])
+        patterns = frozenset(_digits(p, "patterns") for p in _list(payload["patterns"], "patterns"))
     except KeyError as exc:
         raise ValueError(f"run payload has no {exc.args[0]!r} field") from None
     return GrayCodeRun(
@@ -532,8 +528,13 @@ def run_from_payload(payload: dict) -> GrayCodeRun:
     )
 
 
+def _list(value, name: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"run payload field {name!r} holds {type(value).__name__}, not a list")
+    return value
+
+
 def _digits(row, name: str) -> Word:
-    row = tuple(row)
-    if not all(type(d) is int for d in row):
+    if not all(type(d) is int for d in _list(row, name)):
         raise ValueError(f"run payload field {name!r} holds a digit that is not an int: {row}")
-    return row
+    return tuple(row)

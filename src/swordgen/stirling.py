@@ -209,13 +209,14 @@ class TraceRow(NamedTuple):
     dirs: tuple[int, ...]
 
 
-def trace_rows(shape: Shape, visit: Callable[[TraceRow], None]) -> int:
-    """Feed each visit's variables to `visit` as a `TraceRow`, and return
-    the visit count."""
+def trace_rows(shape: Shape, visit: Callable[[tuple], None]) -> int:
+    """Feed each visit's variables to `visit` as a plain tuple in
+    `TraceRow`'s field order, and return the visit count."""
 
-    def grab(perm, v, u, i, j, *arrays):
-        # the arrays left, inv, fs and dirs, without their unused slot 0
-        visit(TraceRow(tuple(perm), v, u, i, j, *(tuple(a[1:]) for a in arrays)))
+    def grab(perm, v, u, i, j, left, inv, fs, dirs):
+        # the arrays without their unused slot 0
+        visit((tuple(perm), v, u, i, j,
+               tuple(left[1:]), tuple(inv[1:]), tuple(fs[1:]), tuple(dirs[1:])))
 
     return _loopless(shape, grab)
 
@@ -224,7 +225,7 @@ def trace(shape: Shape) -> list[TraceRow]:
     """Per-visit snapshots of (perm, v, u, i, j, left, inv, fs, dirs)."""
     _check_output(shape)
     rows: list[TraceRow] = []
-    trace_rows(shape, rows.append)
+    trace_rows(shape, lambda row: rows.append(TraceRow._make(row)))
     return rows
 
 

@@ -18,9 +18,8 @@ step.  DOT export renders runs, vector paths and tree families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count, product
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import oracle
 from .greedy import GrayCodeRun
@@ -35,8 +34,7 @@ class TreeError(ValueError):
     """Raised for malformed trees and out-of-range inversion vectors."""
 
 
-@dataclass(frozen=True)
-class STree:
+class STree(NamedTuple):
     """Node labeled v with s_v + 1 ordered child slots (None = empty)."""
 
     label: int
@@ -47,8 +45,7 @@ class STree:
         return f"{self.label}({slots})"
 
 
-@dataclass(frozen=True)
-class KTree:
+class KTree(NamedTuple):
     """Unlabeled internal node with exactly k ordered subtrees (None = leaf)."""
 
     children: tuple[Optional["KTree"], ...]
@@ -244,8 +241,8 @@ def all_kary_trees(k: int, m: int) -> list[KTree]:
                 out.extend(KTree(children=children) for children in product(*pools))
         return out
 
-    if m < 1:
-        raise TreeError(f"need at least one internal node, got {m}")
+    if k < 2 or m < 1:
+        raise TreeError(f"need arity k >= 2 and m >= 1 internal nodes, got k={k}, m={m}")
     return [t for t in gen(m) if t is not None]
 
 

@@ -9,7 +9,7 @@ indices and ranks are 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 Word = tuple[int, ...]
 
@@ -22,21 +22,18 @@ class WordError(ValueError):
     """Raised when a word fails validation or parsing."""
 
 
-@dataclass(frozen=True)
-class Shape:
-    """Multiplicity vector with derived prefix sums.
+class Shape(NamedTuple("Shape", [("multiplicities", Word), ("prefix", Word), ("n", int)])):
+    """Multiplicity vector with derived prefix sums: `Shape(multiplicities)`.
 
     `prefix[v-1]` is t_v = s_1 + ... + s_{v-1} (so t_1 = 0) and `n` is the
     total word length.  The empty shape (m = 0) is allowed as the base case
     of parent-shape recursion; `make_shape` rejects it for user input.
     """
 
-    multiplicities: tuple[int, ...]
-    prefix: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    n: int = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        mult = tuple(self.multiplicities)
+    def __new__(cls, multiplicities):
+        mult = tuple(multiplicities)
         for v, s in enumerate(mult, start=1):
             if s <= 0:
                 raise ShapeError(f"multiplicity of value {v} must be >= 1, got {s}")
@@ -45,9 +42,11 @@ class Shape:
         for s in mult:
             pref.append(acc)
             acc += s
-        object.__setattr__(self, "multiplicities", mult)
-        object.__setattr__(self, "prefix", tuple(pref))
-        object.__setattr__(self, "n", acc)
+        return super().__new__(cls, mult, tuple(pref), acc)
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild a Shape from its multiplicities alone
+        return (self.multiplicities,)
 
     @property
     def m(self) -> int:

@@ -782,3 +782,14 @@ class TestImport:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_cli_import_leaves_dataclasses_out(self):
+        # `dataclasses`, with the `inspect` and `ast` it imports, was the
+        # largest part of every command's start
+        env = dict(os.environ, PYTHONPATH=SRC)
+        code = "import swordgen.cli, sys; print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

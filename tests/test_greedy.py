@@ -503,16 +503,27 @@ class TestPayload:
         with pytest.raises(ValueError, match=repr(field)):
             run_from_payload(payload)
 
-    @pytest.mark.parametrize("field", ["shape", "words"])
-    def test_string_digits_are_named(self, field):
-        # digits given as strings are refused like a missing field, not
-        # left to fail as a TypeError in the checks
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("shape", ["1", "1", "1"], id="shape"),
+            pytest.param("words", [[1, 2, 3], ["1", "3", "2"]], id="words"),
+            pytest.param("words", [1], id="word-not-a-list"),
+            pytest.param("moves", [[1]], id="move-not-an-object"),
+        ],
+    )
+    def test_string_digits_are_named(self, field, value):
+        # digits given as strings, and words or moves of the wrong type, are
+        # refused like a missing field, not left to fail as a TypeError in
+        # the checks
         payload = run_to_payload(generate_greedy(make_shape((1, 1, 1)), {"231"}), "greedy")
-        if field == "shape":
-            payload["shape"] = ["1", "1", "1"]
-        else:
-            payload["words"][1] = ["1", "3", "2"]
+        payload[field] = value
         with pytest.raises(ValueError, match=repr(field)):
+            run_from_payload(payload)
+
+    @pytest.mark.parametrize("payload", [[], "run", 1, None])
+    def test_payload_that_is_not_an_object_is_refused(self, payload):
+        with pytest.raises(ValueError, match="not an object"):
             run_from_payload(payload)
 
     def test_missing_move_field_is_named(self):

@@ -215,6 +215,9 @@ class TestKTree:
         lopsided = KTree((KTree((None, None, None)), None))
         with pytest.raises(TreeError):
             ktree_to_word(lopsided, 3)
+        for k in (1, 0):
+            with pytest.raises(TreeError, match="arity"):
+                all_kary_trees(k, 1)
 
 
 def node_and_edge_counts(dot):

@@ -43,9 +43,12 @@ class TestShape:
             make_shape((2, 0, 1))
         with pytest.raises(ShapeError):
             make_shape(())
+        with pytest.raises(ShapeError):
+            Shape((1, 0))
 
     def test_equality_ignores_derived_fields(self):
         assert make_shape((1, 2)) == Shape((1, 2))
+        assert hash(make_shape((1, 2))) == hash(Shape([1, 2]))
 
 
 class TestRanks:
