@@ -215,7 +215,7 @@ def _cmd_generate(args) -> int:
 def _cmd_verify(args) -> int:
     shape, pats, size, walk = _setup(args)
     feed = walk or functools.partial(stirling.loopless_steps, shape, lambda move: move)
-    count, report = greedy.verify_feed(shape, pats, feed, args.cap)
+    count, report = greedy.verify_feed(shape, pats, feed, args.cap, size=size)
     print(f"words: {count}")
     print(f"complete: {count == size}")
     for name in ("all_member", "all_distinct", "exhaustive", "moves_valid", "transpositions_only"):

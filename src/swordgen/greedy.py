@@ -380,6 +380,7 @@ def verify_feed(
     cap: int | None = None,
     *,
     bad_moves=None,
+    size: int | None = None,
 ) -> tuple[int, GrayCodeReport]:
     """Check a run given as a feed; return its word count and its report.
 
@@ -390,9 +391,10 @@ def verify_feed(
     bytes), that the transition into it classifies as exactly the recorded
     bump, and how many positions that transition changes.  The first copy
     of a repeated word is found by running the feed again.  Exhaustiveness
-    is decided by count: the closed form, else the generating tree's; None
-    over the cap.  `bad_moves` is a counterexample already found against
-    the moves, which are then not classified.
+    is decided by count: `size` when the caller already has the language's
+    size, else the closed form, else the generating tree's; None over the
+    cap.  `bad_moves` is a counterexample already found against the moves,
+    which are then not classified.
     """
     counterexamples: dict = {} if bad_moves is None else {"moves_valid": bad_moves}
     member = oracle.member_test(oracle.live_patterns(shape, patterns))
@@ -448,7 +450,8 @@ def verify_feed(
     except SizeLimitError:
         exhaustive = None
     else:
-        size = oracle.formula_count(shape, patterns)
+        if size is None:
+            size = oracle.formula_count(shape, patterns)
         if size is None:
             size = oracle.count_avoiding(shape, patterns, cap)
         # members cover the language once as many distinct ones as its size
@@ -511,10 +514,10 @@ def run_from_payload(payload: dict) -> GrayCodeRun:
     try:
         shape = Shape(_digits(payload["shape"], "shape"))
         words = tuple(_digits(w, "words") for w in _list(payload["words"], "words"))
-        if not all(isinstance(mv, dict) for mv in _list(payload["moves"], "moves")):
-            raise ValueError("run payload field 'moves' holds a move that is not an object")
-        moves = tuple(map(BumpMove.from_json, payload["moves"]))
-        complete = bool(payload["complete"])
+        moves = tuple(map(_payload_move, _list(payload["moves"], "moves")))
+        complete = payload["complete"]
+        if type(complete) is not bool:
+            raise ValueError(f"run payload field 'complete' holds {complete!r}, not a bool")
         patterns = frozenset(_digits(p, "patterns") for p in _list(payload["patterns"], "patterns"))
     except KeyError as exc:
         raise ValueError(f"run payload has no {exc.args[0]!r} field") from None
@@ -526,6 +529,19 @@ def run_from_payload(payload: dict) -> GrayCodeRun:
         complete,
         EXHAUSTED if complete else NO_NEW_BUMP,
     )
+
+
+def _payload_move(fields) -> BumpMove:
+    if not isinstance(fields, dict):
+        raise ValueError("run payload field 'moves' holds a move that is not an object")
+    move = BumpMove.from_json(fields)
+    if move.dir != RIGHT and move.dir != LEFT:
+        raise ValueError(f"run payload move field 'dir' holds {move.dir!r}, not {RIGHT!r} or {LEFT!r}")
+    for name in ("rank", "width", "distance", "anchor"):
+        value = getattr(move, name)
+        if type(value) is not int:
+            raise ValueError(f"run payload move field {name!r} holds {value!r}, not an int")
+    return move
 
 
 def _list(value, name: str) -> list | tuple:

@@ -10,10 +10,15 @@ regardless of word length.  Every visited word keeps the copies of each
 value adjacent-or-separated only by smaller digits, which is exactly
 avoidance of 212.
 
-`_loopless` is the one implementation of the loop, driven only here: its
-views feed the words (`generate_loopless`), the words with their moves
-(`loopless_steps`), the inversion vectors (`inversion_vectors`) or the
-per-visit variable trace (`trace_rows`) to a consumer as the loop runs.
+`_loopless` is the one implementation of the loop, driven only here.  It
+calls a one-argument visitor with the live word list, at each visit
+before it reads the move out of the word, so the move can be read off
+the state's lists (`fs`, `dirs`, `left`) in O(1).  Its views feed the
+words (`generate_loopless`, which hands its visitor to the loop as it
+is), the words with their moves (`loopless_steps`), the inversion
+vectors (`inversion_vectors`) or the per-visit variable trace
+(`trace_rows`) to a consumer as the loop runs; the last three hold the
+state that they hand the loop and read it at each visit.
 `step_stats` traces that same loop and counts the lines run from one
 visit to the next; like any line count, it does not see work hidden
 inside one line, such as a call or a slice.
@@ -46,29 +51,36 @@ def _initial_state(shape: Shape):
     return m, s, t, perm, left, inv, fs, dirs
 
 
-def _no_visit(perm, v, u, i, j, left, inv, fs, dirs) -> None:
+def _no_visit(perm) -> None:
     """The visitor of a loop that only counts."""
 
 
-def _loopless(shape: Shape, on_visit=_no_visit) -> int:
-    """Drive the loop and return the visit count.
+def _loopless(state, on_visit=_no_visit) -> int:
+    """Drive the loop from `state`, as `_initial_state` makes it, and
+    return the visit count.
 
-    `on_visit(perm, v, u, i, j, left, inv, fs, dirs)` sees the live state
-    exactly as it stands when the visit fires: the move described by
-    (v, u, i, j) is applied to `perm` right after the callback returns.
-    The final visit passes v = 1 and u = i = j = None.
+    `on_visit(perm)` gets the live word list at every visit, the final one
+    too, before the loop reads the move out of that word, so a view that
+    holds the state's lists reads the move off them in O(1): v = fs[m],
+    with v = 1 at the final visit; i = left[v] and j = i + s[v] when
+    dirs[v] = 1, else j = left[v] - 1 and i = j + s[v]; u = perm[j - 1].
+    The run of v then moves from i to j, over one copy of u.  At every
+    visit `inv` is the inversion vector of the word and fs[1:m] the focus
+    pointers; fs[m] holds the next v, not m, until the move is read.
 
     The largest value m is the fastest digit of the Gray code: once a pass
     moves m off one end of its sweep, m alone moves for the next t[m] - 1
     steps, one place each in the same direction.  An inner loop runs those
     steps with v, d and the width fixed, and the sweep's end flips m once.
     """
-    m, s, t, perm, left, inv, fs, dirs = _initial_state(shape)
+    m, s, t, perm, left, inv, fs, dirs = state
     count = 0
     # `while True` ends in an unconditional backward jump, the only jump on
     # which CPython 3.11 warms a function up for specialisation; a
     # `while v > 1` loop would leave one long call about 2x slower
     while True:
+        count += 1
+        on_visit(perm)
         v = fs[m]
         fs[m] = m
         d = dirs[v]
@@ -78,33 +90,30 @@ def _loopless(shape: Shape, on_visit=_no_visit) -> int:
         else:
             j = left[v] - 1
             i = j + s[v]
-        # the final visit, v = 1, runs the same lines as any other: it
-        # reads harmless cells above and reports no move
-        if v > 1:
-            u = perm[j - 1]
-        else:
-            u = i = j = None
-        count += 1
-        on_visit(perm, v, u, i, j, left, inv, fs, dirs)
-        if u is None:
+        if v == 1:
             return count
+        u = perm[j - 1]
         perm[i - 1], perm[j - 1] = u, v
         left[v] += d
-        if left[u] == j:
-            left[u] = i  # u's leftmost copy moves over the run of v, to i
+        # u's leftmost copy moves over the run of v, to i.  One line for
+        # `step_stats`: with m = 2 a pass that starts m's sweep never takes
+        # the branch, so as two lines it would count one line more between
+        # two visits with m > 2 than with m = 2
+        if left[u] == j: left[u] = i
         inv[v] -= d
         # m moves on alone for the rest of its sweep, when it has one
         # (t[m] > 1): its run slides by one place per step, so i and j
-        # advance by d.  A step of the sweep runs as many lines from its
-        # visit to the flip test as a pass runs from its own, which keeps
-        # the lines between two visits the same with or without a
-        # smaller value's step between two sweeps (`step_stats`)
+        # advance by d, and fs[m] = m with left[m] = i keeps each move
+        # readable off the state.  The visit comes two lines into a step,
+        # so that a pass of m runs as many lines from its visit to the
+        # first visit of its sweep as a pass of a smaller value runs from
+        # visit to visit
         if v == m and t[m] > 1:
             count += t[m] - 1
             for j in range(j + d, j + d * t[m], d):
                 i += d
                 u = perm[j - 1]
-                on_visit(perm, m, u, i, j, left, inv, fs, dirs)
+                on_visit(perm)
                 perm[i - 1] = u
                 perm[j - 1] = m
                 left[m] += d
@@ -121,20 +130,20 @@ def generate_loopless(
     """Feed every word to `visit` and return how many there were; without
     a visitor the loop only counts.
 
-    The consumer receives the live word list; it must copy if it keeps a
-    reference, which keeps the generator itself allocation-free per step.
+    `visit` is the loop's own visitor, called with no wrapper: it receives
+    the live word list, and must copy if it keeps a reference, which keeps
+    the generator itself allocation-free per step.
     """
-    if visit is None:
-        return _loopless(shape)
-    # named parameters: a `*_` catch-all would pack a tuple on every visit
-    return _loopless(shape, lambda perm, v, u, i, j, left, inv, fs, dirs: visit(perm))
+    return _loopless(_initial_state(shape), _no_visit if visit is None else visit)
 
 
 def inversion_vectors(shape: Shape, visit: Callable[[tuple[int, ...]], None]) -> int:
     """Feed the inversion vector of each word of the order to `visit`, and
     return how many there were.  Read from the loop's live `inv`, which is
     the inversion vector of the word at each visit."""
-    return _loopless(shape, lambda perm, v, u, i, j, left, inv, fs, dirs: visit(tuple(inv[1:])))
+    state = _initial_state(shape)
+    inv = state[5]
+    return _loopless(state, lambda perm: visit(tuple(inv[1:])))
 
 
 def _check_output(shape: Shape) -> None:
@@ -172,27 +181,32 @@ def loopless_steps(
     """Feed every word with the move into it, as `visit(perm, made)`, in
     O(1) per step, and return how many there were: `made` is `make(move)`,
     None for the first word, and `perm` is the live word list, as
-    `generate_loopless` gives it.  A move is read from the live state
-    (v, d, i), and there are at most 2mn of them, so `make` runs once per
-    distinct move."""
-    s = (0,) + shape.multiplicities
-    t = (0,) + shape.prefix
-    made: dict[tuple[int, int, int], object] = {}
+    `generate_loopless` gives it.  The move out of each word is read off
+    the live state as the loop reads it next: value v = fs[m], direction
+    d = dirs[v], and the run's leftmost index left[v].  There are at most
+    2mn such moves, so `make` runs once per distinct move."""
+    state = m, s, t, perm, left, inv, fs, dirs = _initial_state(shape)
+    # made[d][v][left[v]], filled as the moves are first seen; d = -1
+    # indexes the last list, and slot 1 of v (v = 1 never moves) stays None
+    made: list = [None] + [[[None] * (shape.n + 1) for _ in s] for _ in (1, -1)]
     into = None
 
-    def grab(perm, v, u, i, j, left, inv, fs, dirs):
+    def grab(perm):
         nonlocal into
         visit(perm, into)
-        if u is not None:
-            d = dirs[v]
-            into = made.get((v, d, i))
-            if into is None:
-                # the run of v moves one step: anchored left when heading
-                # right, and conversely; in both cases i is the anchor
-                rank, side = (t[v] + 1, RIGHT) if d == 1 else (t[v] + s[v], LEFT)
-                into = made[v, d, i] = make(BumpMove(rank, side, s[v], 1, i))
+        v = fs[m]
+        d = dirs[v]
+        into = made[d][v][left[v]]
+        if into is None and v > 1:
+            # the run of v moves one step: anchored left when heading
+            # right, and conversely; in both cases i is the anchor
+            if d == 1:
+                rank, side, i = t[v] + 1, RIGHT, left[v]
+            else:
+                rank, side, i = t[v] + s[v], LEFT, left[v] - 1 + s[v]
+            into = made[d][v][left[v]] = make(BumpMove(rank, side, s[v], 1, i))
 
-    return _loopless(shape, grab)
+    return _loopless(state, grab)
 
 
 class TraceRow(NamedTuple):
@@ -211,14 +225,28 @@ class TraceRow(NamedTuple):
 
 def trace_rows(shape: Shape, visit: Callable[[tuple], None]) -> int:
     """Feed each visit's variables to `visit` as a plain tuple in
-    `TraceRow`'s field order, and return the visit count."""
+    `TraceRow`'s field order, and return the visit count: the move out of
+    the word as the loop reads it next, and the arrays with fs[m] as m,
+    the value the loop gives it on reading v."""
+    state = m, s, t, perm, left, inv, fs, dirs = _initial_state(shape)
 
-    def grab(perm, v, u, i, j, left, inv, fs, dirs):
+    def grab(perm):
+        v = fs[m]
+        if v > 1:
+            if dirs[v] == 1:
+                i = left[v]
+                j = i + s[v]
+            else:
+                j = left[v] - 1
+                i = j + s[v]
+            u = perm[j - 1]
+        else:
+            u = i = j = None
         # the arrays without their unused slot 0
         visit((tuple(perm), v, u, i, j,
-               tuple(left[1:]), tuple(inv[1:]), tuple(fs[1:]), tuple(dirs[1:])))
+               tuple(left[1:]), tuple(inv[1:]), (*fs[1:m], m), tuple(dirs[1:])))
 
-    return _loopless(shape, grab)
+    return _loopless(state, grab)
 
 
 def trace(shape: Shape) -> list[TraceRow]:
@@ -254,7 +282,7 @@ def step_stats(shape: Shape) -> tuple[int, int]:
     caller = sys.gettrace()
     sys.settrace(on_call)
     try:
-        count = loop(shape, _no_visit)
+        count = loop(_initial_state(shape), _no_visit)
     finally:
         sys.settrace(caller)
     return count, max_steps

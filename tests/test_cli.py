@@ -542,6 +542,22 @@ class TestVerify:
         assert code == 0
         assert "exhaustive: True" in out.splitlines()
 
+    def test_language_is_counted_once(self, capsys, monkeypatch):
+        # {312} has no closed form: the walk sizes it on the generating
+        # tree, and verify reuses that size
+        calls = []
+        count_avoiding = oracle.count_avoiding
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return count_avoiding(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "count_avoiding", counted)
+        code, out, _ = run_cli(capsys, "verify", "--shape", "1^6", "--avoid", "312")
+        assert code == 1
+        assert "counterexample[exhaustive]: {'visited': 32, 'language': 132}" in out.splitlines()
+        assert len(calls) == 1
+
     def test_incomplete_is_a_negative_verdict(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--shape", "1,1,1", "--avoid", "312")
         assert code == 1

@@ -526,6 +526,34 @@ class TestPayload:
         with pytest.raises(ValueError, match="not an object"):
             run_from_payload(payload)
 
+    @pytest.mark.parametrize(
+        "value", ["false", "true", 1, 0, None], ids=["false-string", "true-string", "one", "zero", "null"]
+    )
+    def test_complete_must_be_a_bool(self, value):
+        # bool("false") is True: a flag of another type is refused, not read
+        payload = run_to_payload(generate_greedy(make_shape((2, 1)), {"212"}), "greedy")
+        payload["complete"] = value
+        with pytest.raises(ValueError, match="'complete'"):
+            run_from_payload(payload)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rank", "x"),
+            ("rank", True),
+            ("dir", 9),
+            ("dir", "r"),
+            ("width", None),
+            ("distance", 1.0),
+            ("anchor", [1]),
+        ],
+    )
+    def test_move_field_types_are_named(self, field, value):
+        payload = run_to_payload(generate_greedy(make_shape((2, 1)), {"212"}), "greedy")
+        payload["moves"][-1][field] = value
+        with pytest.raises(ValueError, match=repr(field)):
+            run_from_payload(payload)
+
     def test_missing_move_field_is_named(self):
         payload = run_to_payload(generate_greedy(make_shape((2, 1)), {"212"}), "greedy")
         del payload["moves"][0]["rank"]

@@ -61,20 +61,53 @@ def reference_loopless(shape, on_visit=None) -> int:
     return count + 1
 
 
-def visit_states(loop, shape):
-    """The return value of `loop` and every visit's full state."""
+def loop_states(shape):
+    """The return value of `stirling._loopless` and every visit's full
+    state, as `reference_loopless` hands it out: v, u, i and j are read off
+    the live lists, as the loop reads the move out of the word next, and
+    fs[m] is shown as m, the value the loop gives it on reading v."""
+    state = m, s, t, perm, left, inv, fs, dirs = _initial_state(shape)
+    states = []
+
+    def grab(perm):
+        v = fs[m]
+        if v == 1:
+            u = i = j = None
+        else:
+            if dirs[v] == 1:
+                i = left[v]
+                j = i + s[v]
+            else:
+                j = left[v] - 1
+                i = j + s[v]
+            u = perm[j - 1]
+        states.append((tuple(perm), v, u, i, j, tuple(left), tuple(inv), (*fs[:m], m), tuple(dirs)))
+
+    return stirling._loopless(state, grab), states
+
+
+def reference_states(shape):
+    """The return value of `reference_loopless` and every visit's full state."""
     states = []
 
     def grab(perm, v, u, i, j, left, inv, fs, dirs):
         states.append((tuple(perm), v, u, i, j, tuple(left), tuple(inv), tuple(fs), tuple(dirs)))
 
-    return loop(shape, grab), states
+    return reference_loopless(shape, grab), states
 
 
-def stream_digest(loop, shape):
-    """The return value of `loop` and the sha256 of its word stream."""
+def run_loop(shape, on_visit):
+    return stirling._loopless(_initial_state(shape), on_visit)
+
+
+def run_reference(shape, on_visit):
+    return reference_loopless(shape, lambda perm, *_: on_visit(perm))
+
+
+def stream_digest(run, shape):
+    """The return value of `run` and the sha256 of its word stream."""
     digest = hashlib.sha256()
-    count = loop(shape, lambda perm, *_: digest.update(bytes(perm)))
+    count = run(shape, lambda perm: digest.update(bytes(perm)))
     return count, digest.hexdigest()
 
 
@@ -90,19 +123,17 @@ class TestReferenceLoop:
     def test_every_visit_matches_on_every_shape_up_to_8(self):
         for total in range(1, 9):
             for shape in all_shapes(total):
-                assert visit_states(stirling._loopless, shape) == visit_states(
-                    reference_loopless, shape
-                ), shape.multiplicities
-                assert stirling._loopless(shape) == reference_loopless(shape)
+                assert loop_states(shape) == reference_states(shape), shape.multiplicities
+                assert stirling._loopless(_initial_state(shape)) == reference_loopless(shape)
 
     @settings(max_examples=40, deadline=None)
     @given(shapes_up_to_11())
     def test_word_streams_match(self, shape):
-        assert stream_digest(stirling._loopless, shape) == stream_digest(reference_loopless, shape)
+        assert stream_digest(run_loop, shape) == stream_digest(run_reference, shape)
 
     def test_word_stream_of_2_8(self):
-        # the digest `stream_digest(reference_loopless, 2^8)` gives
-        assert stream_digest(stirling._loopless, make_shape((2,) * 8)) == (
+        # the digest `stream_digest(run_reference, 2^8)` gives
+        assert stream_digest(run_loop, make_shape((2,) * 8)) == (
             2_027_025,
             "06bcb07591f25051547cdf38d2c539a0868fd9a7e73926fb4fd4ff7f91bed716",
         )
@@ -228,6 +259,28 @@ class TestRunObject:
                 run = loopless_run(shape)
                 for a, b in zip(run.words, run.words[1:]):
                     assert sum(x != y for x, y in zip(a, b)) == 2
+
+
+class TestMovesReadOffTheState:
+    @settings(max_examples=40, deadline=None)
+    @given(shapes_up_to_11())
+    def test_views_read_the_right_cells(self, shape):
+        # the loop hands out only the word: the views read each move and
+        # vector off its live lists, and must read the right cells
+        words, moves = [], []
+
+        def grab(perm, move):
+            words.append(tuple(perm))
+            moves.append(move)
+
+        count = stirling.loopless_steps(shape, lambda move: move, grab)
+        assert count == len(words) == stirling_count(shape)
+        assert moves[0] is None
+        for a, b, mv in zip(words, words[1:], moves[1:]):
+            assert classify_move(a, b) == mv, (a, b)
+        vectors = []
+        assert stirling.inversion_vectors(shape, vectors.append) == count
+        assert vectors == [inversion_vector(word) for word in words]
 
 
 class TestInversionBookkeeping:
