@@ -27,13 +27,11 @@ from .bumps import RIGHT
 from .greedy import NO_NEW_BUMP, GrayCodeRun, run_to_payload
 from .oracle import SizeLimitError
 from .patterns import normalize_patterns
-from .words import Shape, format_word, nondecreasing_word, parse_shape, parse_word
+from .words import _DIGITS, Shape, format_word, nondecreasing_word, parse_shape, parse_word
 
 # items per write: the first write comes after one chunk, and no more than
 # one chunk of output is held at a time
 CHUNK = 4096
-# a word of digits 1..9 is its bytes, translated to ASCII a chunk at a time
-_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 # each number 0..255 as the width of its digits
 _WIDTHS = bytes.maketrans(bytes(range(256)), bytes(len(str(d)) for d in range(256)))
 
@@ -53,12 +51,14 @@ def _cap(text: str) -> int:
 # --- output -----------------------------------------------------------------
 # A feed hands items to the visitor it is given: the loopless engine's feeds
 # push from the loop as it runs, and a greedy walk as it chooses each word.
+# A feed of steps hands each word with the move into it, None for the first.
 
 
 def _chunks(feed, convert, take):
     """Run `feed` with a visitor that keeps `convert(item)` of each item and
-    hands every CHUNK kept items, and the rest at the end, to `take`.
-    Returns what `feed` returns."""
+    hands every CHUNK kept items, and the rest at the end, to `take`.  With
+    `convert` None, `feed` is a feed of steps, and the visitor keeps the
+    moves as they are.  Returns what `feed` returns."""
     kept: list = []
 
     def add(item) -> None:
@@ -67,7 +67,14 @@ def _chunks(feed, convert, take):
             take(kept)
             kept.clear()
 
-    result = feed(add)
+    def add_move(_, move) -> None:
+        if move is not None:
+            kept.append(move)
+            if len(kept) == CHUNK:
+                take(kept)
+                kept.clear()
+
+    result = feed(add_move if convert is None else add)
     if kept:
         take(kept)
     return result
@@ -96,10 +103,21 @@ def _digit_lines(kept: list[bytes]) -> str:
 
 
 def _digit_lists(kept: list[bytes]) -> str:
-    # every digit joined by ", ", and each line break, joined so too,
-    # turned into the end of one JSON list and the start of the next
-    text = ", ".join(b"\n".join(kept).translate(_DIGITS).decode())
-    return "[" + text.replace(", \n, ", "], [") + "]"
+    """The JSON lists of words of one length n, joined by ", ": a template
+    of "[0, 0, ..., 0], " per word, whose cells for each of the n places,
+    3n + 2 apart, take that place's digits in one strided slice."""
+    n = len(kept[0])
+    out = bytearray(b"[" + b"0, " * (n - 1) + b"0], ") * len(kept)
+    digits = b"".join(kept).translate(_DIGITS)
+    for c in range(n):
+        out[1 + 3 * c :: 3 * n + 2] = digits[c::n]
+    return out[:-2].decode()
+
+
+def _word_lists(shape: Shape):
+    """The (convert, render) with which `_write_chunks` writes the words
+    of `shape` as JSON lists: bytes of digits up to m = 9, else lists."""
+    return (bytes, _digit_lists) if shape.m <= 9 else (list, _json_items)
 
 
 def _json_items(kept: list) -> str:
@@ -127,14 +145,18 @@ def _write_json(payload: dict, **lists) -> None:
 
 
 def _write_dot(name: str, *lists) -> int:
-    """The DOT graph `name`: its head, then for each (feed, piece) the
-    `piece(idx, item)` of every item of `feed`, numbered from 0 (see
-    `trees.export_dot`), and its tail.  Returns what the first feed returns."""
+    """The DOT graph `name`: its head, then for each (feed, convert, piece)
+    the `piece(idx, item)` of every item that `_chunks` keeps of `feed`,
+    numbered from 0 (see `trees.export_dot`), and its tail.  Returns what
+    the first feed returns."""
     sys.stdout.write(trees.dot_head(name))
     counts = []
-    for feed, piece in lists:
+    for feed, convert, piece in lists:
+        # `map` draws a number before it finds a chunk's end, so each chunk
+        # draws exactly as many as it has items
         ids = itertools.count()
-        counts.append(_write_chunks(feed, lambda item: piece(next(ids), item), "".join))
+        render = lambda kept: "".join(map(piece, itertools.islice(ids, len(kept)), kept))
+        counts.append(_write_chunks(feed, convert, render))
     sys.stdout.write(trees.DOT_TAIL)
     return counts[0]
 
@@ -170,7 +192,7 @@ def _cmd_generate(args) -> int:
     if walk is None:
         # the loop runs once for the words and, in JSON and DOT, once for the moves
         words = functools.partial(stirling.generate_loopless, shape)
-        moves = lambda add: stirling.loopless_steps(shape, make, lambda _, move: move and add(move))
+        moves = functools.partial(stirling.loopless_steps, shape, make)
     elif args.format == "text":
         words = lambda visit: walk(lambda word, _: visit(word))
     else:
@@ -186,22 +208,19 @@ def _cmd_generate(args) -> int:
 
             return walk(step)
 
-        moves = lambda add: collections.deque(map(add, kept), maxlen=0)
+        moves = lambda add: collections.deque(map(add, itertools.repeat(None), kept), maxlen=0)
     if args.format == "json":
         engine = "loopless" if walk is None else "greedy"
         payload = run_to_payload(GrayCodeRun(shape, pats, (), (), False, NO_NEW_BUMP), engine)
-        if shape.m <= 9:
-            items = bytes, _digit_lists
-        else:  # a list of ints prints as JSON
-            items = lambda word: str(list(word)), ", ".join
 
         def listed(visit) -> None:  # the words, then "complete" once they are out
             payload["complete"] = words(visit) == size
 
-        _write_json(payload, words=(listed, *items), moves=(moves, str, ", ".join))
+        _write_json(payload, words=(listed, *_word_lists(shape)), moves=(moves, None, ", ".join))
         complete = payload["complete"]
     elif args.format == "dot":
-        complete = _write_dot("run", (words, trees.dot_word), (moves, trees.dot_edge)) == size
+        run = (words, tuple, trees.dot_word), (moves, None, trees.dot_edge)
+        complete = _write_dot("run", *run) == size
     elif shape.m <= 9:  # one `format_word` line per word
         complete = _write_chunks(words, bytes, _digit_lines) == size
     else:
@@ -237,14 +256,6 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _word_cells(words) -> list[str]:
-    # `format_word` of each word, one of digits 0..9 translated from its bytes
-    return [
-        bytes(w).translate(_DIGITS).decode() if max(w) <= 9 else ",".join(map(str, w))
-        for w in words
-    ]
-
-
 def _widest(words) -> int:
     """The width of the widest `format_word` of `words`, all of one length,
     from their values: the length while every digit is below 10, else each
@@ -253,7 +264,7 @@ def _widest(words) -> int:
     if top <= 9:
         return size
     if top > 255:  # too large for a byte
-        return max(map(len, _word_cells(words)))
+        return max(map(len, map(format_word, words)))
     widths = map(bytes.translate, map(bytes, words), itertools.repeat(_WIDTHS))
     return max(map(sum, widths)) + size - 1
 
@@ -287,7 +298,8 @@ def _cmd_trace(args) -> int:
     def table(kept) -> str:
         perm, *numeric, left, inv, fs, dirs = zip(*kept)
         numeric = (["-" if x is None else str(x) for x in col] for col in numeric)
-        cells = (_word_cells(perm), *numeric, *map(_word_cells, (left, inv, fs)), map(signs, dirs))
+        words = (map(format_word, col) for col in (left, inv, fs))
+        cells = (map(format_word, perm), *numeric, *words, map(signs, dirs))
         padded = map(map, itertools.repeat(str.ljust), cells, map(itertools.repeat, widths))
         return "\n".join(map(str.rstrip, map("  ".join, zip(*padded)))) + "\n"
 
@@ -328,27 +340,45 @@ def _cmd_zigzag(args) -> int:
 def _cmd_trees(args) -> int:
     shape = parse_shape(args.shape)
     # the trees are made as they are written, from the loop's words or, for
-    # `kary`, the greedy walk's; JSON runs the loop or walk once per list
+    # `kary`, the greedy walk's: in text and JSON as their text, written by
+    # the tree builder's stack pass with no node built, and in DOT as nodes
     if args.kind == "stirling":
         stirling._check_output(shape)  # before any output
         words = functools.partial(stirling.generate_loopless, shape)
-        tree = trees.stirling_word_to_tree
+        text, tree = trees.stirling_tree_text, trees.stirling_word_to_tree
+        # JSON runs the loop once per list: the loop holds nothing, and
+        # keeping the texts until the words are out would hold every tree
+        texts = words, text
     else:
         if len(set(shape.multiplicities)) != 1:
             raise ValueError("--kind kary needs a shape with equal multiplicities")
         k = shape.multiplicities[0] + 1
         walk = greedy.greedy_walk(shape, oracle.KCATALAN_PATTERNS, cap=args.cap)
-        words = lambda visit: walk(lambda word, _: visit(word))
+        text = lambda word: trees.kcatalan_tree_text(word, k)
         tree = lambda word: trees.kcatalan_word_to_tree(word, k)
-    text = lambda word: str(tree(word))
+        if args.format != "json":
+            words = lambda visit: walk(lambda word, _: visit(word))
+        else:
+            # the walk runs once, as in `generate`, and keeps each tree's
+            # text until the words are out; it holds every word it chose anyway
+            made: list[str] = []
+
+            def words(visit) -> int:
+                def step(word, _) -> None:
+                    visit(word)
+                    made.append(text(word))
+
+                return walk(step)
+
+            texts = lambda add: collections.deque(map(add, made), maxlen=0), str
     if args.format == "json":
         payload = {"format": 1, "shape": list(shape.multiplicities), "kind": args.kind}
         payload.update(words=[], trees=[])
         if args.kind == "kary":
             payload["k"] = k
-        _write_json(payload, words=(words, list, _json_items), trees=(words, text, _json_items))
+        _write_json(payload, words=(words, *_word_lists(shape)), trees=(*texts, _json_items))
     elif args.format == "dot":
-        _write_dot("trees", (words, lambda idx, word: trees.dot_tree(idx, tree(word))))
+        _write_dot("trees", (words, tuple, lambda idx, word: trees.dot_tree(idx, tree(word))))
     else:
         _write_chunks(words, text, _lines)
     return 0
@@ -369,8 +399,8 @@ def _cmd_path(args) -> int:
         def label(move) -> str:  # the run of v moving right lowers inv[v] by one
             return trees.coordinate_label(values[move.rank - 1], -1 if move.dir == RIGHT else 1)
 
-        edges = lambda add: stirling.loopless_steps(shape, label, lambda _, made: made and add(made))
-        _write_dot("path", (vectors, trees.dot_vector), (edges, trees.dot_edge))
+        edges = functools.partial(stirling.loopless_steps, shape, label)
+        _write_dot("path", (vectors, tuple, trees.dot_vector), (edges, None, trees.dot_edge))
     else:
         _write_chunks(vectors, lambda v: ",".join(map(str, v)), _lines)
     return 0

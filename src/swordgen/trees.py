@@ -4,7 +4,8 @@ Tree objects and inversion vectors in bijection with Gray-coded words.
 Words avoiding 212 correspond to increasing trees: the minimum value v of
 a word occurs s_v times and cuts it into s_v + 1 segments, each wholly
 containing every other value, so v becomes a node with one ordered child
-slot per segment.  One left-to-right stack pass builds the whole tree.
+slot per segment.  One left-to-right stack pass builds the whole tree,
+or writes its text with no node built.
 Words over the shape (k-1)^m avoiding {132, 121} correspond to k-ary
 trees: the complement (m+1) - w avoids {312, 212}, and its increasing
 tree is the k-ary tree labeled in preorder.  The labels are forced, so
@@ -58,23 +59,24 @@ class KTree(NamedTuple):
 # --- increasing trees -------------------------------------------------------
 
 
-def _increasing_tree(word: Word) -> STree:
+def _increasing_tree(word: Word, node, empty):
     """The increasing tree of a word over 1..m, in the one stack pass of
     `avoids_212`: open nodes sit on a stack whose labels increase upwards
     from a 0 sentinel, and a digit closes every open node above it.  The
     subtree closed last fills the slot that the digit ends, or the first
     slot of the node that the digit opens.  A trailing 0 closes them all.
-    Raises WordError on a 212.
+    A closed node is `node(label, children)`, its children a tuple of
+    subtrees and `empty` slots.  Raises WordError on a 212.
     """
     labels = [0]
-    slots: list[list[Optional[STree]]] = [[]]
+    slots: list[list] = [[]]
     seen = set()
-    tree = None
+    tree = empty
     for d in (*word, 0):
         while labels[-1] > d:
             children = slots.pop()
             children.append(tree)
-            tree = STree(labels.pop(), tuple(children))
+            tree = node(labels.pop(), tuple(children))
         if labels[-1] == d:
             slots[-1].append(tree)
         elif d in seen:
@@ -84,8 +86,12 @@ def _increasing_tree(word: Word) -> STree:
             seen.add(d)
             labels.append(d)
             slots.append([tree])
-        tree = None
+        tree = empty
     return slots[0][0]
+
+
+def _labeled_text(label: int, children: tuple[str, ...]) -> str:
+    return f"{label}({','.join(children)})"
 
 
 def stirling_word_to_tree(word: Word) -> STree:
@@ -96,7 +102,18 @@ def stirling_word_to_tree(word: Word) -> STree:
     '1(ε,2(ε,ε,ε))'
     """
     check_word(word)
-    return _increasing_tree(word)
+    return _increasing_tree(word, STree, None)
+
+
+def stirling_tree_text(word: Word) -> str:
+    """`str(stirling_word_to_tree(word))`, written by the same stack pass
+    with no node built.
+
+    >>> stirling_tree_text((1, 2, 2))
+    '1(ε,2(ε,ε,ε))'
+    """
+    check_word(word)
+    return _increasing_tree(word, _labeled_text, "ε")
 
 
 def tree_to_stirling_word(tree: STree) -> Word:
@@ -186,13 +203,9 @@ def hamilton_path(shape: Shape) -> list[InvVector]:
 # --- k-ary trees ------------------------------------------------------------
 
 
-def kcatalan_word_to_tree(word: Word, k: int) -> KTree:
-    """The increasing tree of the complement (m+1) - w, without labels:
-    the k-1 copies of the maximum value delimit the k subtrees.
-
-    >>> str(kcatalan_word_to_tree((2, 1, 1, 2), 3))
-    '*(ε,*(ε,ε,ε),ε)'
-    """
+def _kcatalan_complement(word: Word, k: int) -> Word:
+    """The complement (m+1) - w of a word that avoids {132, 121} with k-1
+    copies of every value; raises TreeError or WordError otherwise."""
     if k < 2:
         raise TreeError(f"arity must be at least 2, got {k}")
     shape = shape_of_word(word)
@@ -202,13 +215,33 @@ def kcatalan_word_to_tree(word: Word, k: int) -> KTree:
         )
     if not avoids_all(word, oracle.KCATALAN_PATTERNS):
         raise WordError(f"{format_word(word)} contains 132 or 121")
+    return tuple(shape.m + 1 - d for d in word)
 
-    def unlabel(node: STree) -> KTree:
-        return KTree(tuple(None if c is None else unlabel(c) for c in node.children))
 
+def _unlabeled_text(_: int, children: tuple[str, ...]) -> str:
+    return f"*({','.join(children)})"
+
+
+def kcatalan_word_to_tree(word: Word, k: int) -> KTree:
+    """The increasing tree of the complement (m+1) - w, without labels:
+    the k-1 copies of the maximum value delimit the k subtrees.
+
+    >>> str(kcatalan_word_to_tree((2, 1, 1, 2), 3))
+    '*(ε,*(ε,ε,ε),ε)'
+    """
     # the builder, not stirling_word_to_tree: perfbench traces both public
     # decoders, and a k-ary tree must count as one tree built
-    return unlabel(_increasing_tree(tuple(shape.m + 1 - d for d in word)))
+    return _increasing_tree(_kcatalan_complement(word, k), lambda _, kids: KTree(kids), None)
+
+
+def kcatalan_tree_text(word: Word, k: int) -> str:
+    """`str(kcatalan_word_to_tree(word, k))`, written by the same stack
+    pass with no node built.
+
+    >>> kcatalan_tree_text((2, 1, 1, 2), 3)
+    '*(ε,*(ε,ε,ε),ε)'
+    """
+    return _increasing_tree(_kcatalan_complement(word, k), _unlabeled_text, "ε")
 
 
 def ktree_to_word(tree: KTree, k: int) -> Word:

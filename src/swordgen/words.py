@@ -13,6 +13,9 @@ from typing import NamedTuple
 
 Word = tuple[int, ...]
 
+# a word of digits 0..9 is its bytes, translated to ASCII
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
 
 class ShapeError(ValueError):
     """Raised for an invalid multiplicity vector."""
@@ -147,9 +150,11 @@ def format_word(word: Word) -> str:
     """Render a word compactly when all values fit one digit, else as a comma list."""
     if not word:
         return ""
-    if max(word) <= 9:
-        return "".join(str(d) for d in word)
-    return ",".join(str(d) for d in word)
+    if max(word) > 9:
+        return ",".join(map(str, word))
+    if min(word) >= 0:
+        return bytes(word).translate(_DIGITS).decode()
+    return "".join(map(str, word))
 
 
 def parse_shape(text: str, letters: bool = True) -> Shape:

@@ -10,6 +10,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import swordgen
 from swordgen import cli, greedy, oracle, stirling, trees
@@ -698,6 +700,33 @@ class TestZigzag:
         assert "--shape" in err
 
 
+class TestDigitLists:
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.lists(st.lists(st.integers(1, 9), min_size=n, max_size=n), min_size=1, max_size=40)
+        )
+    )
+    @example([[1]])
+    @example([[3, 1, 2]])
+    @example([[1], [1], [1]])
+    @example([[9, 8, 7, 6, 5, 4, 3, 2, 1]])
+    def test_chunk_is_json(self, kept):
+        # a chunk of words of one length, as their bytes
+        assert cli._digit_lists([bytes(w) for w in kept]) == json.dumps(kept)[1:-1]
+
+    @pytest.mark.parametrize("shape", ["1", "3", "2,1,3", "1,2,1,2"])
+    def test_words_in_chunks(self, capsys, monkeypatch, shape):
+        # chunks of 5 leave a partial last chunk on 12 and 36 words; shapes
+        # 1 and 3 have one word of one letter
+        monkeypatch.setattr(cli, "CHUNK", 5)
+        for command in (("generate", "--avoid", "212"), ("trees",)):
+            code, out, _ = run_cli(capsys, *command, "--shape", shape, "--format", "json")
+            assert code == 0
+            words = stirling.stirling_sequence(make_shape(map(int, shape.split(","))))
+            assert json.loads(out)["words"] == [list(w) for w in words]
+
+
 class TestTreesAndPath:
     @pytest.mark.parametrize("fmt", ["json", "dot"])
     @pytest.mark.parametrize("command", ["trees", "path"])
@@ -715,6 +744,22 @@ class TestTreesAndPath:
             tracemalloc.stop()
         assert code == 0
         assert peak < 2_000_000
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("kind", ["stirling", "kary"])
+    def test_tree_text_builds_no_node(self, capsys, monkeypatch, kind, fmt):
+        # text and JSON write each tree's text from the stack pass; only DOT
+        # needs the nodes
+        argv = ("trees", "--shape", "2^3", "--kind", kind, "--format", fmt)
+        expected = run_cli(capsys, *argv)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tree node was built")
+
+        for name in ("STree", "KTree"):
+            monkeypatch.setattr(trees, name, refuse)
+        assert run_cli(capsys, *argv) == expected
+        assert expected[0] == 0 and expected[1]
 
     def test_stirling_trees_text(self, capsys):
         code, out, _ = run_cli(capsys, "trees", "--shape", "1,2")

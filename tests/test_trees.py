@@ -2,6 +2,8 @@ import itertools
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swordgen.oracle import all_shapes, all_swords, k_catalan, language, stirling_count
 from swordgen.patterns import contains_pattern
@@ -14,8 +16,10 @@ from swordgen.trees import (
     export_dot,
     hamilton_path,
     inversion_vector,
+    kcatalan_tree_text,
     kcatalan_word_to_tree,
     ktree_to_word,
+    stirling_tree_text,
     stirling_word_to_tree,
     tree_to_stirling_word,
     word_from_inversion_vector,
@@ -218,6 +222,46 @@ class TestKTree:
         for k in (1, 0):
             with pytest.raises(TreeError, match="arity"):
                 all_kary_trees(k, 1)
+
+
+class TestTreeText:
+    """The text that the stack pass writes is the text of the tree it
+    builds, and it fails as the tree fails."""
+
+    def test_stirling_text_on_every_212_word_up_to_8(self):
+        for total in range(1, 9):
+            for shape in all_shapes(total):
+                for w in stirling_sequence(shape):
+                    assert stirling_tree_text(w) == str(stirling_word_to_tree(w)), w
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_kary_text(self, k):
+        for m in range(1, 5):
+            for w in language(make_shape((k - 1,) * m), {"132", "121"}):
+                assert kcatalan_tree_text(w, k) == str(kcatalan_word_to_tree(w, k)), w
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.integers(-1, 5), max_size=9), st.integers(1, 4))
+    def test_fails_as_the_tree_does(self, digits, k):
+        # most draws fail `check_word`, and many of the rest hold a 212
+        word = tuple(digits)
+        for text, tree in (
+            (stirling_tree_text, stirling_word_to_tree),
+            (lambda w: kcatalan_tree_text(w, k), lambda w: kcatalan_word_to_tree(w, k)),
+        ):
+            try:
+                expected = str(tree(word))
+            except (WordError, TreeError) as exc:
+                with pytest.raises(type(exc)) as info:
+                    text(word)
+                assert str(info.value) == str(exc)
+            else:
+                assert text(word) == expected
+
+    def test_fails_on_212_and_on_non_words(self):
+        for bad in [(2, 1, 2), (1, 3), (0, 1), (-1, 1), ()]:
+            with pytest.raises(WordError):
+                stirling_tree_text(bad)
 
 
 def node_and_edge_counts(dot):

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from swordgen.oracle import SizeLimitError
 from swordgen.words import (
@@ -78,6 +80,12 @@ class TestParsing:
         assert format_word((1, 1, 2, 3, 3, 3)) == "112333"
         big = tuple(range(1, 12))
         assert parse_word(format_word(big)) == big
+
+    @given(st.lists(st.integers(-3, 300), min_size=1, max_size=12))
+    def test_format_word_joins_the_digits(self, word):
+        # digits 0..9 take the bytes path; the others join their str forms
+        join = "".join if max(word) <= 9 else ",".join
+        assert format_word(tuple(word)) == join(map(str, word))
 
     def test_shape_round_trip(self):
         assert parse_shape("2,1,3").multiplicities == (2, 1, 3)
