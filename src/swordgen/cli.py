@@ -182,8 +182,8 @@ def _setup(args):
         stirling._check_output(shape)
         return shape, oracle.STIRLING_PATTERNS, oracle.stirling_count(shape), None
     start = parse_word(args.start) if args.start is not None else None
-    walk = greedy.greedy_walk(shape, pats, start=start, cap=args.cap)
-    return shape, walk.patterns, walk.size, walk
+    walk, size = greedy.greedy_walk(shape, pats, start=start, cap=args.cap)
+    return shape, pats, size, walk
 
 
 def _cmd_generate(args) -> int:
@@ -353,14 +353,16 @@ def _cmd_trees(args) -> int:
         if len(set(shape.multiplicities)) != 1:
             raise ValueError("--kind kary needs a shape with equal multiplicities")
         k = shape.multiplicities[0] + 1
-        walk = greedy.greedy_walk(shape, oracle.KCATALAN_PATTERNS, cap=args.cap)
+        walk, _ = greedy.greedy_walk(shape, oracle.KCATALAN_PATTERNS, cap=args.cap)
         text = lambda word: trees.kcatalan_tree_text(word, k)
         tree = lambda word: trees.kcatalan_word_to_tree(word, k)
         if args.format != "json":
             words = lambda visit: walk(lambda word, _: visit(word))
         else:
             # the walk runs once, as in `generate`, and keeps each tree's
-            # text until the words are out; it holds every word it chose anyway
+            # text until the words are out: the {132, 121} walk from the
+            # nondecreasing word is always swept, with no visited set, so
+            # the list costs one text per tree
             made: list[str] = []
 
             def words(visit) -> int:

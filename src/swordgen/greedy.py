@@ -11,17 +11,18 @@ word is applied.  It halts when no such bump exists.
 Started from the nondecreasing word of a zig-zag language this gives a
 bump Gray code; on other languages the run may stop early, which is
 reported rather than raised.
-The engine is a walk (`greedy_walk`), a feed like the loopless loop's
-views: called with a visitor, it hands the visitor each word with the move
-into it as the word is chosen, and returns the word count, so a reader
-takes the words while it runs; `generate_greedy` collects the walk into a
-`GrayCodeRun`.  The walk has two engines: the block scan (`_scan`), which
-keeps the visited words and tests each candidate against the live
-patterns, and, from the nondecreasing word of a syntactically zig-zag
-language, the sweep on the generating tree (`_sweep`), which makes the
-same choices with no visited set and no membership test per candidate.
-The language is sized by its closed form, else on the generating tree;
-no list of its words is made.
+`greedy_walk` sets the engine up and returns a walk with the language's
+size.  The walk is a feed like the loopless loop's views: called with a
+visitor, it hands the visitor each word with the move into it as the word
+is chosen, and returns the word count, so a reader takes the words while
+it runs; `generate_greedy` collects the walk into a `GrayCodeRun`.  The
+walk has two engines: the block scan (`_scan`), which keeps the visited
+words and tests each candidate against the live patterns, and, from the
+nondecreasing word of a syntactically zig-zag language, the sweep on the
+generating tree (`_sweep`), which makes the same choices with no visited
+set and no membership test per candidate.
+The language is sized by `oracle.formula_count`, else on the generating
+tree; no list of its words is made.
 
 Also here: one-pass Gray-code verification, a run's projection onto the
 parent language, and the JSON form of a run.
@@ -43,6 +44,7 @@ from .words import (
     Shape,
     Word,
     WordError,
+    format_word,
     nondecreasing_word,
     validate_word,
 )
@@ -94,28 +96,22 @@ class GrayCodeReport(NamedTuple):
 
 def _scan(shape: Shape, start: Word, member: Callable[[Word], bool], visit) -> int:
     """Call `visit(word, move)` for each word after `start`, with the move
-    into it, as it is chosen; return how many there were."""
+    into it, as it is chosen; return how many there were.  The choice from
+    a word is the first block, in priority order, whose minimal bump reaches
+    an unvisited word, and the walk halts when there is none.  Every visited
+    word is a member, so a visited minimal result ends the block."""
     visited = {start}
     w = start
-    while (step := _next_bump(shape, w, member, visited)) is not None:
-        w, move = step
-        visited.add(w)
-        visit(w, move)
-    return len(visited) - 1
-
-
-def _next_bump(
-    shape: Shape, w: Word, member: Callable[[Word], bool], visited: set
-) -> Optional[tuple[Word, BumpMove]]:
-    """The greedy choice from `w`: the first block, in priority order, whose
-    minimal bump reaches an unvisited word; None when there is none.  Every
-    visited word is a member, so a visited minimal result ends the block."""
-    for rank, direction, lo, hi in _bump_blocks(shape, w):
-        found = _first_bump(w, lo, hi, direction, member)
-        if found is not None and found[1] not in visited:
-            d, cand = found
-            return cand, _move(rank, direction, lo, hi, d)
-    return None
+    while True:
+        for rank, direction, lo, hi in _bump_blocks(shape, w):
+            found = _first_bump(w, lo, hi, direction, member)
+            if found is not None and found[1] not in visited:
+                d, w = found
+                visited.add(w)
+                visit(w, _move(rank, direction, lo, hi, d))
+                break
+        else:
+            return len(visited) - 1
 
 
 def _bump_blocks(shape: Shape, w: Word):
@@ -274,58 +270,44 @@ def _sweep(shape: Shape, start: Word, live: frozenset[Word], visit) -> int:
     return count
 
 
-class GreedyWalk(NamedTuple):
-    """A greedy run before it is walked, as a feed: calling it with a
-    `visit` walks afresh, calls `visit(word, move)` for each visited word
-    with the move into it (None for `start`) as the word is chosen, and
-    returns the word count.  It walks by `_sweep` over the `live` patterns
-    when `sweep` is set and by `_scan` with `member` otherwise.  `size` is
-    the language's, so a walk of `size` words is complete."""
-
-    shape: Shape
-    patterns: frozenset[Word]
-    start: Word
-    member: Callable[[Word], bool]
-    size: int
-    live: frozenset[Word]
-    sweep: bool
-
-    def __call__(self, visit: Callable[[Word, Optional[BumpMove]], None]) -> int:
-        visit(self.start, None)
-        if self.sweep:
-            return 1 + _sweep(self.shape, self.start, self.live, visit)
-        return 1 + _scan(self.shape, self.start, self.member, visit)
-
-
 def greedy_walk(
     shape: Shape,
     patterns=frozenset(),
     *,
     start: Word | None = None,
     cap: int | None = None,
-) -> GreedyWalk:
+) -> tuple[Callable[..., int], int]:
     """Set up the greedy engine from `start` (default: nondecreasing word)
-    over the language of words avoiding `patterns`.  Every refusal (a bad
-    start, the cap) is raised here, before any word is walked."""
-    word = start if start is not None else nondecreasing_word(shape)
+    over the language of words avoiding `patterns`; return `(walk, size)`.
+    `walk(visit)` walks afresh, calls `visit(word, move)` for each visited
+    word with the move into it (None for the start) as the word is chosen,
+    and returns the word count; `size` is the language's, so a walk of
+    `size` words is complete.  Every refusal (a bad start, the cap) is
+    raised here, before any word is walked."""
+    first = nondecreasing_word(shape)
+    word = start if start is not None else first
     validate_word(shape, word)
-    pats = normalize_patterns(patterns)
     # a pattern no word of the shape holds never matches: test only the rest
-    live = oracle.live_patterns(shape, pats)
+    live = oracle.live_patterns(shape, patterns)
     if not avoids_all(word, live):
-        raise InvalidStartError("start word is outside the language")
+        default = "" if start is not None else " (the default: the nondecreasing word)"
+        raise InvalidStartError(f"start word {format_word(word)}{default} is outside the language")
 
     oracle._check_cap(shape, cap)
-    # the given set's closed form, else the live set's: {132, 121} has one
-    # on 1^m, where its live {132} has none, and 12121 on 1^m only the latter
-    size = oracle.formula_count(shape, pats)
-    if size is None:
-        size = oracle.formula_count(shape, live)
+    size = oracle.formula_count(shape, normalize_patterns(patterns))
     if size is None:
         size = oracle.count_avoiding(shape, live, cap)
+    member = oracle.member_test(live)
     # from the nondecreasing word a zig-zag language is swept on the tree
-    sweep = word == nondecreasing_word(shape) and all(map(zigzag_pattern, live))
-    return GreedyWalk(shape, pats, word, oracle.member_test(live), size, live, sweep)
+    sweep = word == first and all(map(zigzag_pattern, live))
+
+    def walk(visit: Callable[[Word, Optional[BumpMove]], None]) -> int:
+        visit(word, None)
+        if sweep:
+            return 1 + _sweep(shape, word, live, visit)
+        return 1 + _scan(shape, word, member, visit)
+
+    return walk, size
 
 
 def generate_greedy(
@@ -337,8 +319,8 @@ def generate_greedy(
 ) -> GrayCodeRun:
     """The greedy run from `start` (default: nondecreasing word) over the
     language of words avoiding `patterns`: `greedy_walk`, walked whole."""
-    walk = greedy_walk(shape, patterns, start=start, cap=cap)
-    return collect_run(shape, walk.patterns, walk, walk.size)
+    walk, size = greedy_walk(shape, patterns, start=start, cap=cap)
+    return collect_run(shape, normalize_patterns(patterns), walk, size)
 
 
 def collect_run(shape: Shape, patterns: frozenset[Word], feed, size: int) -> GrayCodeRun:
@@ -392,9 +374,9 @@ def verify_feed(
     bump, and how many positions that transition changes.  The first copy
     of a repeated word is found by running the feed again.  Exhaustiveness
     is decided by count: `size` when the caller already has the language's
-    size, else the closed form, else the generating tree's; None over the
-    cap.  `bad_moves` is a counterexample already found against the moves,
-    which are then not classified.
+    size, else `oracle.formula_count`, else the generating tree's; None
+    over the cap.  `bad_moves` is a counterexample already found against
+    the moves, which are then not classified.
     """
     counterexamples: dict = {} if bad_moves is None else {"moves_valid": bad_moves}
     member = oracle.member_test(oracle.live_patterns(shape, patterns))

@@ -81,31 +81,37 @@ def formula_count(shape: Shape, patterns: frozenset[Word]) -> int | None:
     """|L| in closed form for a normalised pattern set, None without one:
     the multinomial for no patterns, the product formula for {212}, the
     product of (s_v + 1) over v >= 2 for the peakless {132, 231, 121}, and
-    k_catalan(s + 1, m) for {132, 121} when every multiplicity is s.  A
-    count with more digits than an int prints raises SizeLimitError before
-    it is computed.
+    k_catalan(s + 1, m) for {132, 121} when every multiplicity is s.  The
+    set's closed form is taken, else that of its live part (`live_patterns`):
+    {132, 121} has one on 1^m, where its live {132} has none, and 12121 on
+    1^m only the latter.  A count with more digits than an int prints raises
+    SizeLimitError before it is computed.
 
     >>> formula_count(make_shape((2, 2, 2)), KCATALAN_PATTERNS)
     12
+    >>> formula_count(make_shape((1, 1, 1)), frozenset({(1, 2, 1, 2, 1)}))
+    6
     """
-    if not patterns or patterns == STIRLING_PATTERNS:
-        factors, divisor = _size_factors(shape, bool(patterns)), 1
-    elif patterns == PEAKLESS_PATTERNS:
-        # the word falls weakly, then rises: the 1s at the bottom, and each
-        # larger value's copies split between the two sides
-        factors, divisor = [(1, s) for s in shape.multiplicities[1:]], 1
-    elif patterns == KCATALAN_PATTERNS and len(set(shape.multiplicities)) == 1:
-        # k_catalan(s + 1, m) = C((s + 1)m, m) / (sm + 1), exactly
-        top = shape.multiplicities[0] * shape.m
-        factors, divisor = [(shape.m, top)], top + 1
-    else:
-        return None
-    # int-to-str refuses counts longer than this (0: unlimited, or before 3.11)
-    digits = getattr(sys, "get_int_max_str_digits", int)()
-    size = _product(factors, 10**digits * divisor - 1 if digits else math.inf)
-    if size is None:
-        raise SizeLimitError(f"the count has more than {digits} digits, the most an int prints")
-    return size // divisor
+    for pats in (patterns, live_patterns(shape, patterns)):
+        if not pats or pats == STIRLING_PATTERNS:
+            factors, divisor = _size_factors(shape, bool(pats)), 1
+        elif pats == PEAKLESS_PATTERNS:
+            # the word falls weakly, then rises: the 1s at the bottom, and
+            # each larger value's copies split between the two sides
+            factors, divisor = [(1, s) for s in shape.multiplicities[1:]], 1
+        elif pats == KCATALAN_PATTERNS and len(set(shape.multiplicities)) == 1:
+            # k_catalan(s + 1, m) = C((s + 1)m, m) / (sm + 1), exactly
+            top = shape.multiplicities[0] * shape.m
+            factors, divisor = [(shape.m, top)], top + 1
+        else:
+            continue
+        # int-to-str refuses counts longer than this (0: unlimited, or before 3.11)
+        digits = getattr(sys, "get_int_max_str_digits", int)()
+        size = _product(factors, 10**digits * divisor - 1 if digits else math.inf)
+        if size is None:
+            raise SizeLimitError(f"the count has more than {digits} digits, the most an int prints")
+        return size // divisor
+    return None
 
 
 @lru_cache(maxsize=None)

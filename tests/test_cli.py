@@ -125,16 +125,15 @@ class Discard(io.TextIOBase):
         return len(text)
 
 
-class Replay:
-    """A greedy walk that replays a finished run."""
+def replay(run):
+    """The (walk, size) of a greedy walk that replays a finished run."""
 
-    def __init__(self, run):
-        self.run, self.patterns, self.size = run, run.patterns, len(run.words)
-
-    def __call__(self, visit):
-        for word, move in zip(self.run.words, (None,) + self.run.moves):
+    def walk(visit):
+        for word, move in zip(run.words, (None,) + run.moves):
             visit(word, move)
-        return self.size
+        return len(run.words)
+
+    return walk, len(run.words)
 
 
 class TestStream:
@@ -260,7 +259,7 @@ class TestStream:
         # the k-Catalan formula) is made once and replayed to the command as
         # its walk
         run = generate_greedy(make_shape((1,) * 10), ("132", "121"))
-        monkeypatch.setattr(swordgen.greedy, "greedy_walk", lambda *args, **kwargs: Replay(run))
+        monkeypatch.setattr(swordgen.greedy, "greedy_walk", lambda *args, **kwargs: replay(run))
         argv = ("generate", "--shape", "1^10", "--avoid", "132,121")
         _, out, _ = run_cli(capsys, *argv)
         assert out == "".join(format_word(w) + "\n" for w in run.words)
@@ -397,6 +396,15 @@ class TestBadInput:
             capsys, "generate", "--shape", "2,2", "--avoid", "2x2"
         )
         assert code == 2 and "error" in err
+
+    def test_default_start_outside_the_language(self, capsys):
+        # no --start: the refusal names the nondecreasing word, the default
+        code, out, err = run_cli(capsys, "generate", "--shape", "1^3", "--avoid", "12")
+        assert (code, out) == (2, "")
+        assert err == "error: start word 123 (the default: the nondecreasing word) is outside the language\n"
+        code, _, err = run_cli(capsys, "generate", "--shape", "1^3", "--avoid", "12", "--start", "213")
+        assert code == 2
+        assert err == "error: start word 213 is outside the language\n"
 
     def test_bad_start(self, capsys):
         code, _, err = run_cli(
@@ -617,10 +625,17 @@ class TestCount:
 
     def test_formula_needs_known_patterns(self, capsys):
         code, _, err = run_cli(
-            capsys, "count", "--shape", "2,2", "--avoid", "231",
+            capsys, "count", "--shape", "1,1,1", "--avoid", "231",
             "--method", "formula",
         )
         assert code == 2 and "formula" in err
+
+    def test_formula_drops_dead_patterns(self, capsys):
+        # 12121 cannot occur on 1^8, as 231 cannot on 2,2: the multinomial
+        for shape, avoid, count in (("1^8", "12121", 40320), ("2,2", "231", 6)):
+            argv = ("count", "--shape", shape, "--avoid", avoid, "--method")
+            assert run_cli(capsys, *argv, "formula") == (0, f"{count}\n", "")
+            assert run_cli(capsys, *argv, "oracle") == (0, f"{count}\n", "")
 
 
 class TestTrace:
@@ -632,6 +647,23 @@ class TestTrace:
         assert lines[1].split() == ["112333", "3", "2", "6", "3", "134", "000", "123", "---"]
         assert lines[-1].split() == ["333211", "1", "-", "-", "-", "541", "023", "123", "-++"]
         assert len(lines) == 13
+
+    @pytest.mark.parametrize("shape", ["2,3,5", "2,3,6", "1,255"])
+    def test_wide_values(self, capsys, shape):
+        # positions reach 10 on 2,3,5, a `left` cell 10 on 2,3,6 and 256 on
+        # 1,255: the table against one built cell by cell from `stirling.trace`
+        rows = stirling.trace(make_shape(tuple(map(int, shape.split(",")))))
+        names = stirling.TraceRow._fields
+        table = [list(names)] + [
+            [format_word(row.perm)]
+            + ["-" if x is None else str(x) for x in (row.v, row.u, row.i, row.j)]
+            + [format_word(row.left), format_word(row.inv), format_word(row.fs)]
+            + ["".join("+" if d > 0 else "-" for d in row.dirs)]
+            for row in rows
+        ]
+        widths = [max(map(len, column)) for column in zip(*table)]
+        expected = "".join("  ".join(map(str.ljust, cells, widths)).rstrip() + "\n" for cells in table)
+        assert run_cli(capsys, "trace", "--shape", shape) == (0, expected, "")
 
     def test_json_rows(self, capsys):
         code, out, _ = run_cli(capsys, "trace", "--shape", "2,1,3", "--format", "json")

@@ -235,10 +235,13 @@ class TestSweep:
             ((1, 1, 1, 1), {"231"}),  # no closed form: sized on the tree
         ],
     )
-    def test_the_nondecreasing_start_is_the_default(self, mult, pats):
+    def test_the_nondecreasing_start_is_the_default(self, monkeypatch, mult, pats):
+        def refuse(*args):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(greedy, "_scan", refuse)
         shape = make_shape(mult)
         start = nondecreasing_word(shape)
-        assert greedy.greedy_walk(shape, pats, start=start).sweep
         assert generate_greedy(shape, pats, start=start) == generate_greedy(shape, pats)
 
     @pytest.mark.parametrize(
@@ -268,6 +271,18 @@ class TestSweep:
 
 
 class TestVerify:
+    def test_dead_patterns_are_sized_in_closed_form(self, monkeypatch):
+        # 12121 cannot occur on 2^6: the run and its check are sized by the
+        # 212 product, and neither builds the 10,395-word tree
+        def refuse(*args, **kwargs):
+            raise AssertionError("the language was counted on the tree")
+
+        monkeypatch.setattr(oracle, "count_avoiding", refuse)
+        run = generate_greedy(make_shape((2,) * 6), {"212", "12121"})
+        report = verify_gray_code(run)
+        assert report.ok and report.exhaustive is True
+        assert len(run.words) == 10395
+
     def test_good_run(self):
         run = generate_greedy(make_shape((2, 1, 3)), {"212"})
         report = verify_gray_code(run)

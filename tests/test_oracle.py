@@ -123,11 +123,13 @@ class TestCounting:
         for total in range(1, 8):
             for shape in all_shapes(total):
                 got = formula_count(shape, pats)
+                if pats == {(2, 3, 1)}:
+                    # no closed form where 231 can occur, the multinomial elsewhere
+                    assert (got is None) == bool(live_patterns(shape, pats)), shape.multiplicities
                 if got is not None:
                     formulas += 1
                     assert got == count_avoiding(shape, pats), shape.multiplicities
-        has_formula = pats in (frozenset(), STIRLING_PATTERNS, KCATALAN_PATTERNS, PEAKLESS_PATTERNS)
-        assert (formulas > 0) == has_formula
+        assert formulas > 0
 
     def test_formula_count_cases(self):
         assert formula_count(make_shape((2, 2, 2)), KCATALAN_PATTERNS) == 12
