@@ -21,8 +21,8 @@ words and tests each candidate against the live patterns, and, from the
 nondecreasing word of a syntactically zig-zag language, the sweep on the
 generating tree (`_sweep`), which makes the same choices with no visited
 set and no membership test per candidate.
-The language is sized by `oracle.formula_count`, else on the generating
-tree; no list of its words is made.
+The language is sized, and refused over the cap, by `oracle.language_size`;
+no list of its words is made.
 
 Also here: one-pass Gray-code verification, a run's projection onto the
 parent language, and the JSON form of a run.
@@ -293,10 +293,7 @@ def greedy_walk(
         default = "" if start is not None else " (the default: the nondecreasing word)"
         raise InvalidStartError(f"start word {format_word(word)}{default} is outside the language")
 
-    oracle._check_cap(shape, cap)
-    size = oracle.formula_count(shape, normalize_patterns(patterns))
-    if size is None:
-        size = oracle.count_avoiding(shape, live, cap)
+    size = oracle.language_size(shape, patterns, cap)
     member = oracle.member_test(live)
     # from the nondecreasing word a zig-zag language is swept on the tree
     sweep = word == first and all(map(zigzag_pattern, live))
@@ -340,8 +337,13 @@ def collect_run(shape: Shape, patterns: frozenset[Word], feed, size: int) -> Gra
 
 
 def verify_gray_code(run: GrayCodeRun, cap: int | None = None) -> GrayCodeReport:
-    """Check a run in one pass over its words and moves (`verify_feed`).
-    Moves that do not number one fewer than the words are not classified."""
+    """Check a run in one pass over its words and moves (`verify_feed`),
+    exhaustiveness left open over the cap (`oracle.language_size`).  Moves
+    that do not number one fewer than the words are not classified."""
+    try:
+        size = oracle.language_size(run.shape, run.patterns, cap)
+    except SizeLimitError:
+        size = None
     words, moves = run.words, run.moves
     aligned = len(moves) == len(words) - 1
     recorded = (None,) + moves if aligned else itertools.repeat(None)
@@ -349,7 +351,7 @@ def verify_gray_code(run: GrayCodeRun, cap: int | None = None) -> GrayCodeReport
         run.shape,
         run.patterns,
         lambda visit: collections.deque(map(visit, words, recorded), maxlen=0),
-        cap,
+        size,
         bad_moves=None if aligned else ("length", len(moves), len(words)),
     )
     return report
@@ -359,10 +361,9 @@ def verify_feed(
     shape: Shape,
     patterns: frozenset[Word],
     feed: Callable[[Callable[[Word, Optional[BumpMove]], None]], None],
-    cap: int | None = None,
+    size: int | None,
     *,
     bad_moves=None,
-    size: int | None = None,
 ) -> tuple[int, GrayCodeReport]:
     """Check a run given as a feed; return its word count and its report.
 
@@ -373,8 +374,8 @@ def verify_feed(
     bytes), that the transition into it classifies as exactly the recorded
     bump, and how many positions that transition changes.  The first copy
     of a repeated word is found by running the feed again.  Exhaustiveness
-    is decided by count: `size` when the caller already has the language's
-    size, else `oracle.formula_count`, else the generating tree's; None
+    is decided by count against `size`, the language's size as
+    `oracle.language_size` gives it, and left open (None) without one, as
     over the cap.  `bad_moves` is a counterexample already found against
     the moves, which are then not classified.
     """
@@ -426,16 +427,8 @@ def verify_feed(
         feed(lambda w, _: same.append(_key(w) == key))
         counterexamples["all_distinct"] = (same.index(True), at, word)
 
-    exhaustive: Optional[bool]
-    try:
-        oracle._check_cap(shape, cap)
-    except SizeLimitError:
-        exhaustive = None
-    else:
-        if size is None:
-            size = oracle.formula_count(shape, patterns)
-        if size is None:
-            size = oracle.count_avoiding(shape, patterns, cap)
+    exhaustive: Optional[bool] = None
+    if size is not None:
         # members cover the language once as many distinct ones as its size
         # were visited
         exhaustive = all_member and len(seen) == size

@@ -6,7 +6,7 @@ stepping, no recursion) and supplies the exact counts the generators are
 checked against: closed forms, and the language built on the generating
 tree (a word's parent deletes the rightmost copy of its largest value),
 which `language` checks in turn.  It also drops the patterns no word of a
-shape can contain.  Enumeration and counting are guarded by a hard cap,
+shape can contain.  `language_size` sizes every run under a hard cap,
 overridable via the SWORDGEN_CAP environment variable or per call.
 """
 
@@ -18,7 +18,7 @@ import sys
 from functools import lru_cache
 from typing import Callable
 
-from .patterns import avoids_212, avoids_all, free_points, normalize_patterns
+from .patterns import avoids_212, avoids_all, format_patterns, free_points, normalize_patterns
 from .words import Shape, Word, WordError, make_shape, nondecreasing_word, validate_word
 
 DEFAULT_CAP = 10_000_000
@@ -77,14 +77,46 @@ def k_catalan(k: int, m: int) -> int:
     return math.comb(k * m, m) // ((k - 1) * m + 1)
 
 
-def formula_count(shape: Shape, patterns: frozenset[Word]) -> int | None:
-    """|L| in closed form for a normalised pattern set, None without one:
-    the multinomial for no patterns, the product formula for {212}, the
-    product of (s_v + 1) over v >= 2 for the peakless {132, 231, 121}, and
-    k_catalan(s + 1, m) for {132, 121} when every multiplicity is s.  The
-    set's closed form is taken, else that of its live part (`live_patterns`):
+def _closed_size(shape: Shape, patterns: frozenset[Word], limit, refusal: str) -> int | None:
+    """The size of a normalised pattern set's language in closed form, None
+    without one; SizeLimitError(refusal) when it exceeds `limit`.  The set's
+    closed form is taken, else that of its live part (`live_patterns`):
     {132, 121} has one on 1^m, where its live {132} has none, and 12121 on
-    1^m only the latter.  A count with more digits than an int prints raises
+    1^m only the latter.  The size is the product of C(top + k, k) over the
+    (k, top) factors, over the divisor, which divides it exactly; a huge
+    one is refused at once, as it is multiplied up one small factor at a
+    time, every partial product an integer no smaller than the one before,
+    and only until it passes the limit."""
+    for pats in (patterns, live_patterns(shape, patterns)):
+        if not pats:  # the multinomial: C(t_v + s_v, s_v) for each value
+            pairs = zip(shape.prefix, shape.multiplicities)
+            factors, divisor = ((min(s, t), max(s, t)) for t, s in pairs), 1
+        elif pats == STIRLING_PATTERNS:  # the product of (t_v + 1)
+            factors, divisor = ((1, t) for t in shape.prefix), 1
+        elif pats == PEAKLESS_PATTERNS:
+            # the word falls weakly, then rises: the 1s at the bottom, and
+            # each larger value's copies split between the two sides
+            factors, divisor = [(1, s) for s in shape.multiplicities[1:]], 1
+        elif pats == KCATALAN_PATTERNS and len(set(shape.multiplicities)) == 1:
+            # k_catalan(s + 1, m) = C((s + 1)m, m) / (sm + 1), with sm = n
+            factors, divisor = [(shape.m, shape.n)], shape.n + 1
+        else:
+            continue
+        bound, size = limit * divisor, 1
+        for k, top in factors:
+            for i in range(1, k + 1):
+                if size > bound:
+                    raise SizeLimitError(refusal)
+                size = size * (top + i) // i
+        if size > bound:
+            raise SizeLimitError(refusal)
+        return size // divisor
+    return None
+
+
+def formula_count(shape: Shape, patterns: frozenset[Word]) -> int | None:
+    """|L| in closed form for a normalised pattern set (`_closed_size`),
+    None without one.  A count with more digits than an int prints raises
     SizeLimitError before it is computed.
 
     >>> formula_count(make_shape((2, 2, 2)), KCATALAN_PATTERNS)
@@ -92,26 +124,27 @@ def formula_count(shape: Shape, patterns: frozenset[Word]) -> int | None:
     >>> formula_count(make_shape((1, 1, 1)), frozenset({(1, 2, 1, 2, 1)}))
     6
     """
-    for pats in (patterns, live_patterns(shape, patterns)):
-        if not pats or pats == STIRLING_PATTERNS:
-            factors, divisor = _size_factors(shape, bool(pats)), 1
-        elif pats == PEAKLESS_PATTERNS:
-            # the word falls weakly, then rises: the 1s at the bottom, and
-            # each larger value's copies split between the two sides
-            factors, divisor = [(1, s) for s in shape.multiplicities[1:]], 1
-        elif pats == KCATALAN_PATTERNS and len(set(shape.multiplicities)) == 1:
-            # k_catalan(s + 1, m) = C((s + 1)m, m) / (sm + 1), exactly
-            top = shape.multiplicities[0] * shape.m
-            factors, divisor = [(shape.m, top)], top + 1
-        else:
-            continue
-        # int-to-str refuses counts longer than this (0: unlimited, or before 3.11)
-        digits = getattr(sys, "get_int_max_str_digits", int)()
-        size = _product(factors, 10**digits * divisor - 1 if digits else math.inf)
-        if size is None:
-            raise SizeLimitError(f"the count has more than {digits} digits, the most an int prints")
-        return size // divisor
-    return None
+    # int-to-str refuses counts longer than this (0: unlimited, or before 3.11)
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    refusal = f"the count has more than {digits} digits, the most an int prints"
+    return _closed_size(shape, patterns, 10**digits - 1 if digits else math.inf, refusal)
+
+
+def language_size(shape: Shape, patterns=frozenset(), cap: int | None = None) -> int:
+    """The number of words of the shape that avoid `patterns`, or
+    SizeLimitError when it exceeds the cap: the one rule that sizes and caps
+    every run.  A closed form is multiplied up only until it passes the cap.
+    Without one, the language is counted on the generating tree
+    (`count_avoiding`), refused when the shape has more words than the cap.
+
+    >>> language_size(make_shape((2, 2, 2)), {"212"}, cap=15)
+    15
+    """
+    pats, limit = normalize_patterns(patterns), resolve_cap(cap)
+    avoiding = f" avoiding {format_patterns(pats)}" if pats else ""
+    refusal = f"shape with n={shape.n}, m={shape.m} has more words{avoiding} than the cap of {limit}"
+    size = _closed_size(shape, pats, limit, refusal)
+    return count_avoiding(shape, pats, cap) if size is None else size
 
 
 @lru_cache(maxsize=None)
@@ -133,38 +166,6 @@ def count_kary_trees(k: int, m: int) -> int:
     return spread(k, m - 1)
 
 
-def _size_factors(shape: Shape, only_212: bool):
-    # (k, top) pairs whose C(top + k, k) multiply to the number of words:
-    # C(t_v + s_v, s_v), or t_v + 1 = C(t_v + 1, 1) for {212}
-    for t, s in zip(shape.prefix, shape.multiplicities):
-        yield (1, t) if only_212 else (min(s, t), max(s, t))
-
-
-def _product(factors, limit) -> int | None:
-    """The product of C(top + k, k) over the (k, top) pairs, or None when it
-    exceeds `limit`, found at once for a huge product: it is multiplied up
-    one small factor at a time, every partial product an integer no smaller
-    than the one before, and only until it passes the limit."""
-    size = 1
-    for k, top in factors:
-        for i in range(1, k + 1):
-            if size > limit:
-                return None
-            size = size * (top + i) // i
-    return None if size > limit else size
-
-
-def _check_cap(shape: Shape, cap: int | None, only_212: bool = False) -> None:
-    """Raise SizeLimitError when the shape has more words (212-avoiding
-    words with `only_212`) than the cap, found without counting them all."""
-    limit = resolve_cap(cap)
-    if _product(_size_factors(shape, only_212), limit) is None:
-        raise SizeLimitError(
-            f"shape with n={shape.n}, m={shape.m} has more "
-            f"{'212-avoiding words' if only_212 else 'words'} than the cap of {limit}"
-        )
-
-
 def _next_multiset_perm(a: list[int]) -> bool:
     # lexicographic successor in place; False once a is the last word
     n = len(a)
@@ -182,8 +183,8 @@ def _next_multiset_perm(a: list[int]) -> bool:
 
 
 def all_swords(shape: Shape, cap: int | None = None) -> list[Word]:
-    """All words of the shape in lexicographic order."""
-    _check_cap(shape, cap)
+    """All words of the shape in lexicographic order, refused over the cap."""
+    language_size(shape, frozenset(), cap)
     a = list(nondecreasing_word(shape))
     out = [tuple(a)]
     while _next_multiset_perm(a):
@@ -237,7 +238,7 @@ def tree_level(
     >>> sorted(tree_level(make_shape((2, 2)), {"212"}))
     [(1, 1, 2, 2), (1, 2, 2, 1), (2, 2, 1, 1)]
     """
-    _check_cap(shape, cap)
+    language_size(shape, frozenset(), cap)
     live = live_patterns(shape, patterns)
     level: list[Word] = [()]
     for v, copies in enumerate(shape.multiplicities, 1):
@@ -273,8 +274,7 @@ def count_avoiding(
     """
     if live_patterns(shape, patterns):
         return len(tree_level(shape, patterns, cap))
-    _check_cap(shape, cap)
-    return multinomial(shape)
+    return language_size(shape, frozenset(), cap)
 
 
 def insertions(word: Word, v: int, live: frozenset[Word] = frozenset()) -> list[Word]:

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import accumulate, combinations, compress, count
 from operator import gt, lt
 
-from .words import Word, parse_word
+from .words import Word, format_word, parse_word
 
 
 class PatternError(ValueError):
@@ -49,6 +49,11 @@ def normalize_patterns(patterns) -> frozenset[Word]:
     for p in patterns:
         out.add(parse_pattern(p) if isinstance(p, str) else check_pattern(p))
     return frozenset(out)
+
+
+def format_patterns(patterns: frozenset[Word]) -> str:
+    """A normalised pattern set as `--avoid` takes it, e.g. "1212,212"."""
+    return ",".join(map(format_word, sorted(patterns)))
 
 
 def contains_pattern(word: Word, pattern: Word) -> bool:

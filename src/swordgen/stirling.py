@@ -146,20 +146,13 @@ def inversion_vectors(shape: Shape, visit: Callable[[tuple[int, ...]], None]) ->
     return _loopless(state, lambda perm: visit(tuple(inv[1:])))
 
 
-def _check_output(shape: Shape) -> None:
-    """Raise SizeLimitError before materialising more words than the
-    default cap.  The default and not a caller's cap: `verify --cap`
-    bounds only the oracle, and still checks the whole loopless run."""
-    oracle._check_cap(shape, None, only_212=True)
-
-
 def stirling_sequence(shape: Shape) -> list[Word]:
-    """The full visit order as tuples.
+    """The full visit order as tuples (over the default cap, refused).
 
     >>> stirling_sequence(make_shape((1, 2)))
     [(1, 2, 2), (2, 2, 1)]
     """
-    _check_output(shape)
+    oracle.language_size(shape, oracle.STIRLING_PATTERNS)
     out: list[Word] = []
     generate_loopless(shape, lambda perm: out.append(tuple(perm)))
     return out
@@ -168,9 +161,9 @@ def stirling_sequence(shape: Shape) -> list[Word]:
 def loopless_run(shape: Shape) -> GrayCodeRun:
     """Collect the sequence as a GrayCodeRun: the words and moves that
     `loopless_steps` feeds."""
-    _check_output(shape)
+    size = oracle.language_size(shape, oracle.STIRLING_PATTERNS)
     feed = lambda visit: loopless_steps(shape, lambda move: move, visit)
-    return collect_run(shape, oracle.STIRLING_PATTERNS, feed, oracle.stirling_count(shape))
+    return collect_run(shape, oracle.STIRLING_PATTERNS, feed, size)
 
 
 def loopless_steps(
@@ -251,7 +244,7 @@ def trace_rows(shape: Shape, visit: Callable[[tuple], None]) -> int:
 
 def trace(shape: Shape) -> list[TraceRow]:
     """Per-visit snapshots of (perm, v, u, i, j, left, inv, fs, dirs)."""
-    _check_output(shape)
+    oracle.language_size(shape, oracle.STIRLING_PATTERNS)
     rows: list[TraceRow] = []
     trace_rows(shape, lambda row: rows.append(TraceRow._make(row)))
     return rows

@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 from . import oracle
 from .greedy import GrayCodeRun
 from .patterns import avoids_212, avoids_all
-from .stirling import _check_output, inversion_vectors
+from .stirling import inversion_vectors
 from .words import Shape, Word, WordError, check_word, format_word, shape_of_word
 
 InvVector = tuple[int, ...]
@@ -194,7 +194,7 @@ def hamilton_path(shape: Shape) -> list[InvVector]:
     """Inversion vectors along the generated order: every vector in the
     box Π[0..t_v] exactly once, consecutive ones differing by one step in
     one coordinate (`stirling.inversion_vectors`, collected)."""
-    _check_output(shape)
+    oracle.language_size(shape, oracle.STIRLING_PATTERNS)
     out: list[InvVector] = []
     inversion_vectors(shape, out.append)
     return out

@@ -512,6 +512,41 @@ class TestOutputBound:
         assert code == 0 and len(out.splitlines()) == 105
 
 
+class TestCapCountsTheLanguage:
+    # a run is refused exactly when its language has more words than the
+    # cap, not its shape
+
+    def test_greedy_212(self, capsys):
+        argv = ("generate", "--shape", "2^4", "--avoid", "212", "--engine", "greedy", "--cap")
+        code, out, _ = run_cli(capsys, *argv, "105")
+        loopless = stirling.stirling_sequence(make_shape((2,) * 4))
+        assert code == 0 and out.splitlines() == list(map(format_word, loopless))
+        code, out, err = run_cli(capsys, *argv, "104")
+        assert code == 3 and out == "" and "cap of 104" in err
+
+    def test_verify_vouches_up_to_the_cap(self, capsys):
+        argv = ("verify", "--shape", "2^4", "--avoid", "212", "--cap")
+        code, out, _ = run_cli(capsys, *argv, "105")
+        assert code == 0 and "exhaustive: True" in out.splitlines()
+        code, out, _ = run_cli(capsys, *argv, "104")
+        lines = out.splitlines()
+        assert code == 0 and "exhaustive: None" in lines and "ok: True" in lines
+
+    def test_peakless(self, capsys):
+        argv = ("generate", "--shape", "1^9", "--avoid", "132,231,121", "--cap")
+        code, out, _ = run_cli(capsys, *argv, "256")
+        assert code == 0 and len(out.splitlines()) == 256
+        code, out, _ = run_cli(capsys, *argv, "255")
+        assert code == 3 and out == ""
+
+    def test_kary_trees(self, capsys):
+        argv = ("trees", "--kind", "kary", "--shape", "2^3", "--cap")
+        code, out, _ = run_cli(capsys, *argv, "12")
+        assert code == 0 and len(out.splitlines()) == 12
+        code, out, _ = run_cli(capsys, *argv, "11")
+        assert code == 3 and out == ""
+
+
 class TestVerify:
     def test_clean_report(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--shape", "2,1,3", "--avoid", "212")

@@ -7,9 +7,11 @@ Every call must return 0, 1, 2 or 3 and never raise; exit 2 (malformed
 input) and exit 3 (over the cap) must print nothing to stdout and a
 message starting with "error: " to stderr, and exit 3 must come in under
 a second.  A `count` that exits 0 on at most seven letters must print the
-size of the language that the literal filter `oracle.language` lists.
-The default cap is lowered to 3,000 words so that every call that does
-its work stays small.  Tier-1 runs a fixed budget; a larger, random one
+size of the language that the literal filter `oracle.language` lists,
+and a `verify` that exits 0 on at most seven letters must leave
+exhaustiveness open (`exhaustive: None`) exactly when that language has
+more words than the cap in force.  The default cap is lowered to 3,000
+words so that every call that does its work stays small.  Tier-1 runs a fixed budget; a larger, random one
 runs with SWORDGEN_FUZZ_EXAMPLES=N.
 """
 
@@ -19,7 +21,7 @@ import os
 import time
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swordgen.cli import parse_and_dispatch
@@ -29,6 +31,7 @@ from swordgen.words import parse_shape
 from test_cli_golden import PATTERN_SETS
 
 EXAMPLES = int(os.environ.get("SWORDGEN_FUZZ_EXAMPLES") or 0)
+CAP = 3000  # the default cap while a call runs
 
 # more letters than the default cap: refused while the shape is parsed
 HUGE_SHAPES = ("99999999999999999999", "1,99999999999999999999")
@@ -91,8 +94,11 @@ def run(argv):
 
 @settings(max_examples=EXAMPLES or 400, derandomize=not EXAMPLES, deadline=None, database=None)
 @given(argvs())
+# the loopless run of 2^3 {212} has 15 words: checked whole, vouched for up to the cap
+@example(["verify", "--shape", "2^3", "--cap", "14", "--engine", "loopless"])
+@example(["verify", "--shape", "2^3", "--cap", "15", "--avoid", "212"])
 def test_every_call_exits_with_a_code_and_a_message(argv):
-    with mock.patch.dict(os.environ, {"SWORDGEN_CAP": "3000"}):
+    with mock.patch.dict(os.environ, {"SWORDGEN_CAP": str(CAP)}):
         code, out, err, seconds = run(argv)
     assert code in (0, 1, 2, 3), (argv, code, err)
     if code in (2, 3):
@@ -100,10 +106,18 @@ def test_every_call_exits_with_a_code_and_a_message(argv):
         assert err.startswith("error: "), (argv, code, err)
     if code == 3:
         assert seconds < 1.0, (argv, seconds)
-    if code == 0 and argv[0] == "count":
+    if code == 0 and argv[0] in ("count", "verify"):
         # every flag of a call that exits 0 carries a value; the last one counts
         options = dict(zip(argv[1::2], argv[2::2]))
         shape = parse_shape(options["--shape"], letters=False)  # a formula may count huge ones
-        if shape.n <= 7:
-            pats = [p for p in options.get("--avoid", "").split(",") if p.strip()]
-            assert out == f"{len(language(shape, pats))}\n", (argv, out)
+        if shape.n > 7:
+            return
+        # the loopless engine, without --avoid, runs the 212 language
+        loopless = "--avoid" not in options and options.get("--engine") == "loopless"
+        pats = [p for p in options.get("--avoid", "212" if loopless else "").split(",") if p.strip()]
+        size = len(language(shape, pats))
+        if argv[0] == "count":
+            assert out == f"{size}\n", (argv, out)
+        else:
+            cap = int(options.get("--cap", CAP))
+            assert ("exhaustive: None" in out.splitlines()) == (size > cap), (argv, out)

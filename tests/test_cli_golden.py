@@ -40,7 +40,7 @@ DIGESTS = {
     "path dot": "be7c42adf1436b9cafad0232b2e5089665ebfef761a030264958603ce8cdef34",
     "trace text": "25595b40be80f626af5111fbeb990a5d1687be5f42719aab30ada09d6b80ad07",
     "trace json": "d2c989c30a2d1e4949efee938321dcbfb63b9124b8aa44e2f1af590fcaf01598",
-    "count": "173c0c4858a89d2d314a5db18110e379625ae4f6ea7ef453592a53396599edff",
+    "count": "e35ff2f1d0ad0dd207e423615a5fa38429c8e664e68c4583f3e8f3dba662108e",
     "verify": "c534e08cd8aa19aef2146f73f239210970a15fd4496b056fa75370cde71bdc7d",
     "zigzag --mode both": "7b1ab7286ca0bf9943cd2627fbd0dd116f8dea6311bc487e5dcada3be7ca1866",
 }

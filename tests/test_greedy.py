@@ -24,7 +24,6 @@ from swordgen.oracle import (
     all_swords,
     children,
     language,
-    multinomial,
     parent_language,
     parent_shape,
     parent_word,
@@ -130,8 +129,10 @@ class TestEngineOptions:
         assert calls == [run.words[0]]
 
     def test_212_run_respects_the_cap(self):
+        # 2,2,2 has 15 words that avoid 212: the cap counts those
         with pytest.raises(SizeLimitError):
-            generate_greedy(make_shape((2, 2, 2)), {"212"}, cap=50)
+            generate_greedy(make_shape((2, 2, 2)), {"212"}, cap=14)
+        assert len(generate_greedy(make_shape((2, 2, 2)), {"212"}, cap=15).words) == 15
 
     def test_custom_start(self):
         run = generate_greedy(make_shape((2, 2)), start=(2, 2, 1, 1))
@@ -333,7 +334,7 @@ class TestVerify:
         assert apply_bump((1, 1, 2, 3, 3, 3), 6, LEFT, 1)[0] == (1, 1, 3, 3, 3, 2)
 
     @pytest.mark.parametrize("patterns", [{"212"}, {"231"}], ids=["212", "231"])
-    def test_cap_below_the_multinomial_leaves_exhaustive_open(self, patterns):
+    def test_cap_below_the_language_size_leaves_exhaustive_open(self, patterns):
         shape = make_shape((2, 1, 2))
         run = generate_greedy(shape, patterns)
         assert verify_gray_code(run).exhaustive is True
@@ -342,7 +343,7 @@ class TestVerify:
             False, NO_NEW_BUMP,
         )
         for checked in (run, cut):
-            report = verify_gray_code(checked, cap=multinomial(shape) - 1)
+            report = verify_gray_code(checked, cap=len(language(shape, patterns)) - 1)
             assert report.exhaustive is None
             assert report.ok
             assert "exhaustive" not in report.counterexamples

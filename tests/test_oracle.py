@@ -289,15 +289,26 @@ class TestCap:
         with pytest.raises(SizeLimitError):
             count_avoiding(make_shape((1,) * 8), frozenset(), cap=100)
 
-    @pytest.mark.parametrize("only_212", [False, True])
-    def test_cap_boundary(self, only_212):
-        # the check passes at exactly the language size and refuses below it
+    @pytest.mark.parametrize(
+        "pats",
+        [set(), {"212"}, {"132", "231", "121"}, {"132", "121"}],
+        ids=["none", "212", "peakless", "kcatalan"],
+    )
+    def test_language_size_boundary(self, pats, monkeypatch):
+        # a closed form is capped by the language's own words: the size is
+        # given at a cap of exactly that many, and refused one below it
+        def refuse(*args, **kwargs):
+            raise AssertionError("a closed form was counted on the tree")
+
+        monkeypatch.setattr(oracle, "count_avoiding", refuse)
         for n in range(1, 8):
             for shape in all_shapes(n):
-                size = stirling_count(shape) if only_212 else multinomial(shape)
-                oracle._check_cap(shape, size, only_212)
+                if pats == {"132", "121"} and len(set(shape.multiplicities)) != 1:
+                    continue
+                size = len(language(shape, pats))
+                assert oracle.language_size(shape, pats, size) == size
                 with pytest.raises(SizeLimitError):
-                    oracle._check_cap(shape, size - 1, only_212)
+                    oracle.language_size(shape, pats, size - 1)
 
     def test_cap_resolution(self, monkeypatch):
         assert resolve_cap(123) == 123

@@ -1,7 +1,8 @@
 """The one-pass verifier against a reference that walks a run once per check.
 
 `reference_verify` is the materialising verifier that `verify_gray_code`
-replaced, kept here as written: a dict of every word, and a separate walk
+replaced, kept here as written but for the cap, which it applies as
+`oracle.language_size` does: a dict of every word, and a separate walk
 for membership, distinctness, moves and transpositions.  Both must give
 equal reports on every run, generated or tampered with.
 """
@@ -37,9 +38,10 @@ GRAY_MATRIX = [
 
 def reference_verify(run: GrayCodeRun, cap: int | None = None) -> GrayCodeReport:
     """Check a run: membership (against the live patterns), distinctness,
-    exhaustiveness (by count: the closed form, else the generating tree's;
-    None over the cap), and that every transition classifies as exactly
-    the recorded bump."""
+    exhaustiveness (by count: the closed form, None when it exceeds the
+    cap, else the generating tree's, None when the shape has more words
+    than the cap), and that every transition classifies as exactly the
+    recorded bump."""
     counterexamples: dict = {}
 
     all_member = True
@@ -64,15 +66,18 @@ def reference_verify(run: GrayCodeRun, cap: int | None = None) -> GrayCodeReport
             break
         seen[w] = k
 
-    exhaustive: Optional[bool]
-    try:
-        oracle._check_cap(run.shape, cap)
-    except SizeLimitError:
-        exhaustive = None
-    else:
-        size = oracle.formula_count(run.shape, run.patterns)
-        if size is None:
+    exhaustive: Optional[bool] = None
+    # a closed form is compared with the cap; without one, the tree refuses
+    # a shape with more words than the cap
+    size = oracle.formula_count(run.shape, run.patterns)
+    if size is None:
+        try:
             size = oracle.count_avoiding(run.shape, run.patterns, cap)
+        except SizeLimitError:
+            pass
+    elif size > oracle.resolve_cap(cap):
+        size = None
+    if size is not None:
         # members cover the language once as many distinct ones as its size
         # were visited
         visited = len(set(run.words))
