@@ -241,3 +241,49 @@ def classify_move(word: Word, word2: Word) -> Optional[BumpMove]:
     # ranks order by value, then copies of a value from left to right
     rank = ordered.index(v) + word[:anchor].count(v)
     return BumpMove(rank, direction, len(run), len(passed), anchor)
+
+
+def bump_window(word, word2, move, prefix: Word) -> Optional[tuple[int, int]]:
+    """The 0-based window [a, e) that `move` rearranges when it is a legal
+    bump of `word` giving `word2`, else None.  `word` has the shape whose
+    prefix sums are `prefix`; both words are tuples, or both bytes.  A bump
+    between two words is unique, so this holds exactly when
+    `classify_move(word, word2) == move`, but it applies the move instead
+    of searching for one.  Both ends of the window change.
+
+    >>> bump_window((1, 1, 2, 3, 3, 3), (1, 1, 3, 3, 3, 2), BumpMove(6, "L", 3, 1, 6), (0, 2, 3))
+    (2, 6)
+    """
+    try:
+        rank, direction, width, distance, anchor = move
+        if width < 1 or distance < 1 or not 0 < anchor <= len(word):
+            return None
+        v = word[anchor - 1]
+        if direction == RIGHT:  # the run is word[a:b], the passed digits word[b:e]
+            a = anchor - 1
+            b = a + width
+            e = b + distance
+            run, passed = word[a:b], word[b:e]
+            moved = passed + run
+        elif direction == LEFT:  # the passed digits are word[a:b], the run word[b:e]
+            e = anchor
+            b = e - width
+            a = b - distance
+            run, passed = word[b:e], word[a:b]
+            moved = run + passed
+        else:
+            return None
+    except (TypeError, ValueError):  # not a move of five int fields
+        return None
+    # the run is `width` copies of v and the `distance` passed digits are
+    # smaller (a slice cut short by an end, or wrapped round by a negative
+    # start, holds fewer); the rank counts the copies of v up to the anchor
+    if (
+        len(passed) != distance
+        or run.count(v) != width
+        or max(passed) >= v
+        or rank != prefix[v - 1] + word[:anchor].count(v)
+        or word[:a] + moved + word[e:] != word2
+    ):
+        return None
+    return a, e

@@ -421,6 +421,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {self.prog}: {message}\n{self.format_usage()}")
 
 
+@functools.cache  # built once per process: parsing leaves no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="swordgen",

@@ -36,10 +36,10 @@ import operator
 from typing import Callable, NamedTuple, Optional
 
 from . import oracle
-from .bumps import LEFT, RIGHT, BumpError, BumpMove, classify_move
+from .bumps import LEFT, RIGHT, BumpError, BumpMove, bump_window, classify_move
 from .bumps import _first_bump, _move  # the minimal-bump search
 from .oracle import SizeLimitError, parent_word
-from .patterns import avoids_all, normalize_patterns
+from .patterns import avoids_all, normalize_patterns, search_212
 from .words import (
     Shape,
     Word,
@@ -372,52 +372,80 @@ def verify_feed(
     a list that the feed reuses.  One pass checks, per word: membership
     (against the live patterns), distinctness (each word kept as its packed
     bytes), that the transition into it classifies as exactly the recorded
-    bump, and how many positions that transition changes.  The first copy
-    of a repeated word is found by running the feed again.  Exhaustiveness
-    is decided by count against `size`, the language's size as
-    `oracle.language_size` gives it, and left open (None) without one, as
-    over the cap.  `bad_moves` is a counterexample already found against
-    the moves, which are then not classified.
+    bump, and how many positions that transition changes.  The recorded
+    move is applied to the previous word (`bump_window`); when it gives
+    this word, the word has the shape by induction from the first, {212}
+    is one search of its bytes (`search_212`), and only the inside of the
+    move's window can change more positions.  Any other word is validated,
+    tested and classified as the references do, so the counterexamples are
+    theirs.  The first copy of a repeated word is found by running the
+    feed again.  Exhaustiveness is decided by count against `size`, the
+    language's size as `oracle.language_size` gives it, and left open
+    (None) without one, as over the cap.  `bad_moves` is a counterexample
+    already found against the moves, which are then not classified.
     """
     counterexamples: dict = {} if bad_moves is None else {"moves_valid": bad_moves}
-    member = oracle.member_test(oracle.live_patterns(shape, patterns))
+    live = oracle.live_patterns(shape, patterns)
+    member = oracle.member_test(live)
+    clash = lambda key: not member(key)  # truthy for a word outside the language
+    if live == oracle.STIRLING_PATTERNS and shape.m < 256:  # digits that fit a byte
+        clash = search_212(v for v, s in enumerate(shape.multiplicities, 1) if v > 1 and s > 1)
+    prefix = shape.prefix
     seen: set = set()
     k = -1
     prev = repeat = None
+    shaped = False  # whether `prev` has the shape
     all_member = transpositions_only = True
     moves_valid = bad_moves is None
 
     def visit(word, move) -> None:
-        nonlocal k, prev, repeat, all_member, moves_valid, transpositions_only
+        nonlocal k, prev, repeat, shaped, all_member, moves_valid, transpositions_only
         k += 1
-        if all_member:
-            try:
-                validate_word(shape, word)
-            except WordError:
-                all_member = False
-            else:
-                all_member = member(word)
-            if not all_member:
-                counterexamples["all_member"] = (k, tuple(word))
         key = _key(word)
         distinct = len(seen)
         seen.add(key)
         if repeat is None and len(seen) == distinct:
             repeat = k, key, tuple(word)
-        if k:
-            if moves_valid:
-                try:
-                    got = classify_move(prev, key)
-                except BumpError:  # a word outside the shape: no bump reaches it
-                    got = None
-                if got != move:
-                    moves_valid = False
-                    counterexamples["moves_valid"] = (k - 1, move, got)
+        window = shaped and bump_window(prev, key, move, prefix)
+        if window:
+            # the recorded move is the bump into the word, which so has the
+            # shape; both ends of the window change, so only its interior
+            # can add to the two changed positions
+            if all_member and clash(key):
+                all_member = False
+                counterexamples["all_member"] = (k, tuple(word))
             if transpositions_only:
-                diff = sum(map(operator.ne, prev, key))
-                if diff != 2:
+                inner = slice(window[0] + 1, window[1] - 1)
+                if prev[inner] != key[inner]:
                     transpositions_only = False
+                    diff = 2 + sum(map(operator.ne, prev[inner], key[inner]))
                     counterexamples["transpositions_only"] = (k - 1, diff)
+        else:
+            shaped = False
+            if all_member:
+                try:
+                    validate_word(shape, word)
+                except WordError:
+                    all_member = False
+                else:
+                    shaped = True
+                    all_member = member(word)
+                if not all_member:
+                    counterexamples["all_member"] = (k, tuple(word))
+            if k:
+                if moves_valid:
+                    try:
+                        got = classify_move(prev, key)
+                    except BumpError:  # a word outside the shape: no bump reaches it
+                        got = None
+                    if got != move:
+                        moves_valid = False
+                        counterexamples["moves_valid"] = (k - 1, move, got)
+                if transpositions_only:
+                    diff = sum(map(operator.ne, prev, key))
+                    if diff != 2:
+                        transpositions_only = False
+                        counterexamples["transpositions_only"] = (k - 1, diff)
         prev = key
 
     feed(visit)

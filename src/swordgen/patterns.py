@@ -9,6 +9,7 @@ need strict ones).
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import accumulate, combinations, compress, count
 from operator import gt, lt
@@ -271,3 +272,20 @@ def avoids_212(word: Word) -> bool:
     except IndexError:
         return not contains_pattern(word, (2, 1, 2))
     return True
+
+
+def search_212(values):
+    """The search of a packed word (bytes) for 212 through `values`, which
+    lie in 2..255 (`re` caches the compiled pattern): a match is a copy of some v in `values`, then digits
+    other than v among which one is smaller, then the next copy of v.  Over
+    every value of a word with two copies or more, it finds a match exactly
+    when `avoids_212` is False.
+
+    >>> search_212((2, 3))(bytes((1, 1, 3, 3, 2, 3))) is None
+    False
+    """
+    alternatives = [
+        b"\\x%02x[^\\x00-\\x%02x]*+[\\x00-\\x%02x][^\\x%02x]*+\\x%02x" % (v, v, v - 1, v, v)
+        for v in values
+    ]
+    return re.compile(b"|".join(alternatives) or b"(?!)").search

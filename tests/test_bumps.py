@@ -12,11 +12,13 @@ from swordgen.bumps import (
     BumpMove,
     apply_bump,
     apply_jump,
+    bump_window,
     classify_move,
     max_pass,
     maximum_jump,
     minimal_bump,
 )
+from swordgen.oracle import all_shapes, all_swords
 from swordgen.words import make_shape, nondecreasing_word, rank_of, shape_of_word
 
 
@@ -295,3 +297,70 @@ class TestMoveJson:
             "distance": 2,
             "anchor": 4,
         }
+
+
+def edits(move):
+    # the move with each field changed by one either way, and turned round
+    for field in ("rank", "width", "distance", "anchor"):
+        for step in (-1, 1):
+            yield move._replace(**{field: getattr(move, field) + step})
+    yield move._replace(dir=LEFT if move.dir == RIGHT else RIGHT)
+
+
+def agrees(word, other, move, prefix):
+    # the window check holds exactly when the classified move is the
+    # recorded one, on tuples and on packed bytes alike
+    want = classify_move(word, other) == move
+    window = bump_window(word, other, move, prefix)
+    assert (window is not None) == want, (word, other, move)
+    assert bump_window(bytes(word), bytes(other), move, prefix) == window
+    return window
+
+
+class TestBumpWindow:
+    def test_every_bump_and_its_edits_up_to_six_letters(self):
+        rng = random.Random(5)
+        checked = 0
+        for n in range(1, 7):
+            for shape in all_shapes(n):
+                words = list(all_swords(shape))
+                for word in words:
+                    for other, moves in bump_results(word).items():
+                        for move in moves:
+                            a, e = agrees(word, other, move, shape.prefix)
+                            # the window is what the move changes, both ends included
+                            assert word[:a] == other[:a] and word[e:] == other[e:]
+                            assert word[a] != other[a] and word[e - 1] != other[e - 1]
+                            for edit in edits(move):
+                                agrees(word, other, edit, shape.prefix)
+                            # a pair that this move does not join
+                            stranger = rng.choice(words)
+                            agrees(word, stranger, move, shape.prefix)
+                            checked += 1
+        assert checked > 10_000
+
+    def test_not_a_move(self):
+        word, prefix = (1, 2, 2), (0, 1)
+        for move in (None, (), (3, "R", 1, 1), BumpMove(3, "X", 2, 1, 2), BumpMove(3, "L", 2.5, 1, 3)):
+            assert bump_window(word, (2, 2, 1), move, prefix) is None
+        assert bump_window(word, (2, 2, 1), BumpMove(3, "L", 2, 1, 3), prefix) == (0, 3)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_random_moves_up_to_fourteen_letters(self, data):
+        mult = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=6).filter(lambda m: sum(m) <= 14))
+        shape = make_shape(mult)
+        word = tuple(data.draw(st.permutations(nondecreasing_word(shape))))
+        other = tuple(data.draw(st.permutations(word)))
+        n = shape.n
+        rank, direction = data.draw(st.integers(1, n)), data.draw(st.sampled_from((RIGHT, LEFT)))
+        reach = max_pass(word, rank, direction)
+        if reach:
+            bumped, move = apply_bump(word, rank, direction, data.draw(st.integers(1, reach)))
+            assert agrees(word, bumped, move, shape.prefix) is not None
+            for edit in edits(move):
+                agrees(word, bumped, edit, shape.prefix)
+            agrees(word, other, move, shape.prefix)
+        fields = st.integers(0, n + 1)
+        move = BumpMove(data.draw(fields), direction, data.draw(fields), data.draw(fields), data.draw(fields))
+        agrees(word, other, move, shape.prefix)

@@ -453,6 +453,24 @@ class TestBadInput:
         assert "SWORDGEN_CAP" in err
 
 
+class TestParserOnce:
+    def test_a_reused_parser_answers_as_a_fresh_one(self, capsys, monkeypatch):
+        # one parser serves every call in a process: after a usage error and
+        # after --help, a valid call writes what a fresh process writes
+        monkeypatch.setenv("COLUMNS", "80")  # the width --help wraps to
+        assert cli._build_parser() is cli._build_parser()
+        env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
+        for argv, want in [
+            (("generate", "--shape", "2,2", "--nope"), 2),
+            (("verify", "--help"), 0),
+            (("verify", "--shape", "2,1,2", "--avoid", "212"), 0),
+        ]:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "swordgen.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+            )
+            assert run_cli(capsys, *argv) == (want, fresh.stdout, fresh.stderr) and fresh.returncode == want
+
+
 class TestOutputBound:
     @pytest.mark.parametrize(
         "argv", [("path",), ("trace",), ("trees",), ("generate", "--avoid", "212")]
@@ -555,6 +573,13 @@ class TestVerify:
         assert "words: 12" in lines
         assert "ok: True" in lines
         assert "transpositions_only: True" in lines
+
+    def test_both_engines_give_the_same_report(self, capsys):
+        # the greedy engine walks the loopless order of {212}, so the bytes agree
+        argv = ("verify", "--shape", "2^5", "--avoid", "212")
+        loopless = run_cli(capsys, *argv, "--engine", "loopless")
+        assert loopless == run_cli(capsys, *argv, "--engine", "greedy")
+        assert loopless[0] == 0 and "words: 945" in loopless[1].splitlines()
 
     def test_start_needs_greedy(self, capsys):
         code, out, err = run_cli(

@@ -12,7 +12,9 @@ from swordgen.patterns import (
     contains_pattern,
     normalize_patterns,
     parse_pattern,
+    search_212,
 )
+from swordgen.oracle import all_shapes, all_swords
 from swordgen.words import make_shape, nondecreasing_word
 
 
@@ -84,6 +86,23 @@ class TestContainment:
         # digits below 1, and below the stack's 0 sentinel, included
         word = tuple(word)
         assert avoids_212(word) == (not contains_pattern(word, (2, 1, 2)))
+
+    def test_search_212_on_every_word_up_to_seven_letters(self):
+        for n in range(1, 8):
+            for shape in all_shapes(n):
+                # the values with two copies or more, as `verify_feed` passes them
+                search = search_212(v for v, s in enumerate(shape.multiplicities, 1) if v > 1 and s > 1)
+                for word in all_swords(shape):
+                    avoids = search(bytes(word)) is None
+                    assert avoids == avoids_212(word) == (not contains_pattern(word, (2, 1, 2))), word
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda m: st.lists(st.integers(1, m), max_size=16).map(lambda w: (m, w))))
+    def test_search_212_on_any_word(self, drawn):
+        # every value from 2 to m searched, whether or not it repeats
+        m, word = drawn
+        avoids = search_212(range(2, m + 1))(bytes(word)) is None
+        assert avoids == avoids_212(tuple(word)) == (not contains_pattern(tuple(word), (2, 1, 2)))
 
     def test_avoids_all(self):
         assert avoids_all((1, 2, 3), frozenset())

@@ -2,9 +2,11 @@
 
 `reference_verify` is the materialising verifier that `verify_gray_code`
 replaced, kept here as written but for the cap, which it applies as
-`oracle.language_size` does: a dict of every word, and a separate walk
-for membership, distinctness, moves and transpositions.  Both must give
-equal reports on every run, generated or tampered with.
+`oracle.language_size` does, and for membership, which it tests with the
+literal `contains_pattern`: a dict of every word, and a separate walk
+for membership, distinctness, moves (`classify_move` on every pair) and
+transpositions.  Both must give equal reports on every run, generated or
+tampered with.
 """
 
 import json
@@ -15,18 +17,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swordgen import oracle
-from swordgen.bumps import BumpError, classify_move
+from swordgen.bumps import LEFT, RIGHT, BumpError, classify_move
 from swordgen.greedy import (
     GrayCodeReport,
     GrayCodeRun,
     generate_greedy,
     run_from_payload,
     run_to_payload,
+    verify_feed,
     verify_gray_code,
 )
-from swordgen.oracle import SizeLimitError, all_shapes
-from swordgen.patterns import normalize_patterns
-from swordgen.stirling import loopless_run
+from swordgen.oracle import SizeLimitError, all_shapes, all_swords
+from swordgen.patterns import contains_pattern, normalize_patterns
+from swordgen.stirling import loopless_run, loopless_steps
 from swordgen.words import Word, WordError, make_shape, validate_word
 
 # the pattern sets of acceptance criterion 5
@@ -45,14 +48,13 @@ def reference_verify(run: GrayCodeRun, cap: int | None = None) -> GrayCodeReport
     counterexamples: dict = {}
 
     all_member = True
-    member = oracle.member_test(oracle.live_patterns(run.shape, run.patterns))
     for k, w in enumerate(run.words):
         try:
             validate_word(run.shape, w)
         except WordError:
             all_member = False
         else:
-            all_member = member(w)
+            all_member = not any(contains_pattern(w, p) for p in run.patterns)
         if not all_member:
             counterexamples["all_member"] = (k, w)
             break
@@ -238,3 +240,50 @@ def test_randomly_tampered_runs(run, cap):
 def test_empty_run(cap):
     run = GrayCodeRun(make_shape((1, 1)), frozenset(), (), (), False, "no-new-bump")
     assert not assert_same(run, cap).moves_valid
+
+
+def corruptions(run):
+    """The run with one fault each: a repeated word, a swapped pair, each
+    move field changed, an alien word, a word outside the shape, the last
+    word cut, and one move too few and one too many."""
+    words, moves = run.words, run.moves
+    mid = len(words) // 2
+    if len(words) > 2:
+        yield edited(run, words=words[:-1] + (words[mid],))
+    if len(words) > 1:
+        yield edited(run, words=words[: mid - 1] + (words[mid], words[mid - 1]) + words[mid + 1 :])
+        yield edited(run, words=words[:-1], moves=moves[:-1])
+        yield edited(run, moves=moves[:-1])
+    for at in {0, len(moves) // 2, len(moves) - 1} if moves else ():
+        move = moves[at]
+        for edit in (
+            move._replace(rank=move.rank + 1),
+            move._replace(dir=LEFT if move.dir == RIGHT else RIGHT),
+            move._replace(width=move.width + 1),
+            move._replace(distance=move.distance - 1),
+            move._replace(anchor=move.anchor - 1),
+        ):
+            yield edited(run, moves=moves[:at] + (edit,) + moves[at + 1 :])
+    alien = next((w for w in all_swords(run.shape) if any(contains_pattern(w, p) for p in run.patterns)), None)
+    if alien is not None:
+        yield edited(run, words=words[:mid] + (alien,) + words[mid + 1 :])
+    yield edited(run, words=words[:mid] + (words[mid][:-1] + (run.shape.m + 1,),) + words[mid + 1 :])
+    yield edited(run, moves=moves + moves[:1])
+
+
+def test_corrupted_runs_up_to_six_letters():
+    # {212} on both engines, the k-Catalan and 12121 sets, and no patterns
+    sets = [normalize_patterns(pats) for pats in [{"212"}, {"132", "121"}, {"12121"}, set()]]
+    checked = 0
+    for n in range(1, 7):
+        for shape in all_shapes(n):
+            runs = [loopless_run(shape)] + [generate_greedy(shape, pats) for pats in sets]
+            for run in runs:
+                for bad in (run, *corruptions(run)):
+                    assert_same(bad)
+                    checked += 1
+            # the loopless feed hands over one list that it rewrites
+            size = oracle.language_size(shape, runs[0].patterns)
+            feed = lambda visit: loopless_steps(shape, lambda move: move, visit)
+            assert verify_feed(shape, runs[0].patterns, feed, size) == (len(runs[0].words), assert_same(runs[0]))
+    assert checked > 3_000
