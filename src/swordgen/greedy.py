@@ -39,7 +39,7 @@ from . import oracle
 from .bumps import LEFT, RIGHT, BumpError, BumpMove, bump_window, classify_move
 from .bumps import _first_bump, _move  # the minimal-bump search
 from .oracle import SizeLimitError, parent_word
-from .patterns import avoids_all, normalize_patterns, search_212
+from .patterns import avoids_all, normalize_patterns
 from .words import (
     Shape,
     Word,
@@ -374,9 +374,10 @@ def verify_feed(
     bytes), that the transition into it classifies as exactly the recorded
     bump, and how many positions that transition changes.  The recorded
     move is applied to the previous word (`bump_window`); when it gives
-    this word, the word has the shape by induction from the first, {212}
-    is one search of its bytes (`search_212`), and only the inside of the
-    move's window can change more positions.  Any other word is validated,
+    this word, the word has the shape by induction from the first, its
+    membership is tested on its bytes (`oracle.clash_test`, for {212} one
+    compiled search), and only the inside of the move's window can change
+    more positions.  Any other word is validated,
     tested and classified as the references do, so the counterexamples are
     theirs.  The first copy of a repeated word is found by running the
     feed again.  Exhaustiveness is decided by count against `size`, the
@@ -386,10 +387,7 @@ def verify_feed(
     """
     counterexamples: dict = {} if bad_moves is None else {"moves_valid": bad_moves}
     live = oracle.live_patterns(shape, patterns)
-    member = oracle.member_test(live)
-    clash = lambda key: not member(key)  # truthy for a word outside the language
-    if live == oracle.STIRLING_PATTERNS and shape.m < 256:  # digits that fit a byte
-        clash = search_212(v for v, s in enumerate(shape.multiplicities, 1) if v > 1 and s > 1)
+    member, clash = oracle.member_test(live), oracle.clash_test(shape, live)
     prefix = shape.prefix
     seen: set = set()
     k = -1

@@ -18,7 +18,14 @@ import sys
 from functools import lru_cache
 from typing import Callable
 
-from .patterns import avoids_212, avoids_all, format_patterns, free_points, normalize_patterns
+from .patterns import (
+    avoids_212,
+    avoids_all,
+    format_patterns,
+    free_points,
+    normalize_patterns,
+    search_212,
+)
 from .words import Shape, Word, WordError, make_shape, nondecreasing_word, validate_word
 
 DEFAULT_CAP = 10_000_000
@@ -195,7 +202,8 @@ def all_swords(shape: Shape, cap: int | None = None) -> list[Word]:
 def member_test(patterns: frozenset[Word]) -> Callable[[Word], bool]:
     """The avoidance test for a normalised pattern set: the linear
     `avoids_212` for {212}, one accepting every word for no patterns,
-    `avoids_all` otherwise.  The one place that picks a test by pattern set.
+    `avoids_all` otherwise.  With `clash_test`, the one place that picks a
+    test by pattern set.
 
     >>> member_test(STIRLING_PATTERNS).__name__
     'avoids_212'
@@ -205,6 +213,22 @@ def member_test(patterns: frozenset[Word]) -> Callable[[Word], bool]:
     if not patterns:
         return lambda word: True
     return lambda word: avoids_all(word, patterns)
+
+
+def clash_test(shape: Shape, patterns: frozenset[Word]) -> Callable[[bytes], object]:
+    """The test, truthy for a word outside the language, of a packed word
+    (its bytes) that has the shape, for a normalised pattern set: one
+    compiled search (`search_212`) for {212} when the digits fit a byte,
+    `member_test` negated otherwise.
+
+    >>> clash = clash_test(make_shape((2, 2)), STIRLING_PATTERNS)
+    >>> bool(clash(bytes((2, 1, 2, 1)))), bool(clash(bytes((1, 2, 2, 1))))
+    (True, False)
+    """
+    if patterns == STIRLING_PATTERNS and shape.m < 256:
+        return search_212(v for v, s in enumerate(shape.multiplicities, 1) if v > 1 and s > 1)
+    member = member_test(patterns)
+    return lambda key: not member(key)
 
 
 def language(

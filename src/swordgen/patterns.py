@@ -276,16 +276,20 @@ def avoids_212(word: Word) -> bool:
 
 def search_212(values):
     """The search of a packed word (bytes) for 212 through `values`, which
-    lie in 2..255 (`re` caches the compiled pattern): a match is a copy of some v in `values`, then digits
-    other than v among which one is smaller, then the next copy of v.  Over
-    every value of a word with two copies or more, it finds a match exactly
-    when `avoids_212` is False.
+    lie in 2..255 (`re` caches the compiled pattern).  A match is a copy of
+    some v in `values`, then digits other than v among which one is
+    smaller, then the next copy of v.  Over every value of a word with two
+    copies or more, it finds a match exactly when `avoids_212` is False.
+    Each repeat's class is disjoint from the part after it (digits above v
+    before one below, digits other than v before a v), so a repeat never
+    gives back a digit the next part could take: a start is decided in one
+    scan, with no possessive repeat.
 
     >>> search_212((2, 3))(bytes((1, 1, 3, 3, 2, 3))) is None
     False
     """
     alternatives = [
-        b"\\x%02x[^\\x00-\\x%02x]*+[\\x00-\\x%02x][^\\x%02x]*+\\x%02x" % (v, v, v - 1, v, v)
+        b"\\x%02x[^\\x00-\\x%02x]*[\\x00-\\x%02x][^\\x%02x]*\\x%02x" % (v, v, v - 1, v, v)
         for v in values
     ]
     return re.compile(b"|".join(alternatives) or b"(?!)").search

@@ -57,6 +57,17 @@ class TestEnumeration:
         want = tuple(w for w in reference_words(mult) if avoids_all(w, pats))
         assert got == want
 
+    @pytest.mark.parametrize(
+        "pats", [frozenset(), STIRLING_PATTERNS, KCATALAN_PATTERNS, PEAKLESS_PATTERNS]
+    )
+    def test_clash_test_on_every_word_up_to_six_letters(self, pats):
+        # the packed-word test rejects exactly the words the reference filter does
+        for n in range(1, 7):
+            for shape in all_shapes(n):
+                clash = oracle.clash_test(shape, pats)
+                for word in all_swords(shape):
+                    assert bool(clash(bytes(word))) == (not avoids_all(word, pats)), word
+
     def test_peakless_example(self):
         lang = language(make_shape((2, 2)), PEAKLESS_PATTERNS)
         assert lang == ((1, 1, 2, 2), (2, 1, 1, 2), (2, 2, 1, 1))

@@ -90,7 +90,7 @@ class TestContainment:
     def test_search_212_on_every_word_up_to_seven_letters(self):
         for n in range(1, 8):
             for shape in all_shapes(n):
-                # the values with two copies or more, as `verify_feed` passes them
+                # the values with two copies or more, as `oracle.clash_test` passes them
                 search = search_212(v for v, s in enumerate(shape.multiplicities, 1) if v > 1 and s > 1)
                 for word in all_swords(shape):
                     avoids = search(bytes(word)) is None
@@ -103,6 +103,11 @@ class TestContainment:
         m, word = drawn
         avoids = search_212(range(2, m + 1))(bytes(word)) is None
         assert avoids == avoids_212(tuple(word)) == (not contains_pattern(tuple(word), (2, 1, 2)))
+
+    def test_search_212_needs_no_possessive_repeat(self):
+        # `re` takes possessive repeats (*+) only from Python 3.11, and the
+        # package supports 3.10
+        assert b"*+" not in search_212(range(2, 256)).__self__.pattern
 
     def test_avoids_all(self):
         assert avoids_all((1, 2, 3), frozenset())
