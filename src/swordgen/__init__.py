@@ -5,8 +5,9 @@ A word over the shape s = (s_1, ..., s_m) uses each value v exactly s_v
 times.  The package generates such words so that consecutive outputs
 differ by one bump (a run of equal digits trading places with adjacent
 smaller digits): a greedy engine that works for any zig-zag pattern
-language, and a loopless engine for the 212-avoiding words, plus
-bijections onto increasing trees, k-ary trees and inversion vectors.
+language, and loopless engines for the 212-avoiding and the peakless
+words, plus bijections onto increasing trees, k-ary trees and inversion
+vectors.
 """
 
 from .bumps import BumpMove, classify_move

@@ -22,7 +22,7 @@ import json
 import os
 import sys
 
-from . import greedy, oracle, stirling, trees, zigzag
+from . import greedy, oracle, peakless, stirling, trees, zigzag
 from .bumps import RIGHT
 from .greedy import NO_NEW_BUMP, GrayCodeRun, run_to_payload
 from .oracle import SizeLimitError
@@ -164,23 +164,33 @@ def _write_dot(name: str, *lists) -> int:
 # --- subcommands ------------------------------------------------------------
 
 
+# the loopless engine's feeds of words and of steps, by normalised pattern set
+_LOOPLESS = {
+    oracle.STIRLING_PATTERNS: (stirling.generate_loopless, stirling.loopless_steps),
+    oracle.PEAKLESS_PATTERNS: (peakless.generate_peakless, peakless.peakless_steps),
+}
+
+
 def _setup(args):
     """The shape, patterns and language size of the run that `generate`
     writes and `verify` checks, and its greedy walk (None for the loopless
-    engine, the default for {212}, which refuses other pattern sets; only
-    the greedy engine takes --start).  Every refusal comes here, before any
-    output."""
+    engine, the default for the sets in `_LOOPLESS`, which refuses other
+    pattern sets and without --avoid runs {212}; only the greedy engine
+    takes --start).  Every refusal comes here, before any output."""
     shape = parse_shape(args.shape)
     pats = _parse_avoid(args.avoid)
-    is_212 = pats == oracle.STIRLING_PATTERNS
-    engine = args.engine or ("loopless" if is_212 else "greedy")
-    if engine == "loopless" and args.avoid is not None and not is_212:
-        raise ValueError("the loopless engine only generates the 212-avoiding language")
+    engine = args.engine or ("loopless" if pats in _LOOPLESS else "greedy")
+    if engine == "loopless" and args.avoid is not None and pats not in _LOOPLESS:
+        raise ValueError("the loopless engine only generates the 212-avoiding and the peakless words")
     if args.start is not None and engine != "greedy":
         raise ValueError("only the greedy engine honors --start")
-    if engine == "loopless":  # sized under the default cap: see `_cmd_verify`
-        size = oracle.language_size(shape, oracle.STIRLING_PATTERNS)
-        return shape, oracle.STIRLING_PATTERNS, size, None
+    if engine == "loopless":
+        if args.avoid is None:
+            pats = oracle.STIRLING_PATTERNS
+        # {212} is sized under the default cap (see `_cmd_verify`), the
+        # peakless words under --cap, as the greedy walk sizes them
+        cap = None if pats == oracle.STIRLING_PATTERNS else args.cap
+        return shape, pats, oracle.language_size(shape, pats, cap), None
     start = parse_word(args.start) if args.start is not None else None
     walk, size = greedy.greedy_walk(shape, pats, start=start, cap=args.cap)
     return shape, pats, size, walk
@@ -191,8 +201,9 @@ def _cmd_generate(args) -> int:
     make = _move_json if args.format == "json" else trees.move_label
     if walk is None:
         # the loop runs once for the words and, in JSON and DOT, once for the moves
-        words = functools.partial(stirling.generate_loopless, shape)
-        moves = functools.partial(stirling.loopless_steps, shape, make)
+        walk_words, walk_steps = _LOOPLESS[pats]
+        words = functools.partial(walk_words, shape)
+        moves = functools.partial(walk_steps, shape, make)
     elif args.format == "text":
         words = lambda visit: walk(lambda word, _: visit(word))
     else:
@@ -233,9 +244,9 @@ def _cmd_generate(args) -> int:
 
 def _cmd_verify(args) -> int:
     shape, pats, size, walk = _setup(args)
-    feed = walk or functools.partial(stirling.loopless_steps, shape, lambda move: move)
-    # the loopless run is checked whole under the default cap; `--cap`
-    # bounds only the language that the report vouches for
+    feed = walk or functools.partial(_LOOPLESS[pats][1], shape, lambda move: move)
+    # the loopless {212} run is checked whole under the default cap;
+    # `--cap` bounds only the language that the report vouches for
     known = size if size <= oracle.resolve_cap(args.cap) else None
     count, report = greedy.verify_feed(shape, pats, feed, known)
     print(f"words: {count}")

@@ -99,17 +99,21 @@ def _scan(shape: Shape, start: Word, member: Callable[[Word], bool], visit) -> i
     into it, as it is chosen; return how many there were.  The choice from
     a word is the first block, in priority order, whose minimal bump reaches
     an unvisited word, and the walk halts when there is none.  Every visited
-    word is a member, so a visited minimal result ends the block."""
-    visited = {start}
+    word is a member, so a visited minimal result ends the block.  The
+    words may be tuples or packed bytes; the visited ones are kept packed
+    (`_key`)."""
+    visited = {_key(start)}
     w = start
     while True:
         for rank, direction, lo, hi in _bump_blocks(shape, w):
             found = _first_bump(w, lo, hi, direction, member)
-            if found is not None and found[1] not in visited:
-                d, w = found
-                visited.add(w)
-                visit(w, _move(rank, direction, lo, hi, d))
-                break
+            if found is not None:
+                key = _key(found[1])
+                if key not in visited:
+                    d, w = found
+                    visited.add(key)
+                    visit(w, _move(rank, direction, lo, hi, d))
+                    break
         else:
             return len(visited) - 1
 
@@ -294,7 +298,9 @@ def greedy_walk(
         raise InvalidStartError(f"start word {format_word(word)}{default} is outside the language")
 
     size = oracle.language_size(shape, patterns, cap)
-    member = oracle.member_test(live)
+    # the scan walks the packed words (`_key`), whose candidates have the
+    # shape and so take the packed-word test
+    clash = oracle.clash_test(shape, live)
     # from the nondecreasing word a zig-zag language is swept on the tree
     sweep = word == first and all(map(zigzag_pattern, live))
 
@@ -302,7 +308,8 @@ def greedy_walk(
         visit(word, None)
         if sweep:
             return 1 + _sweep(shape, word, live, visit)
-        return 1 + _scan(shape, word, member, visit)
+        packed = lambda w, move: visit(tuple(w), move)
+        return 1 + _scan(shape, _key(word), lambda w: not clash(w), packed)
 
     return walk, size
 

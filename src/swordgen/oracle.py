@@ -217,18 +217,36 @@ def member_test(patterns: frozenset[Word]) -> Callable[[Word], bool]:
 
 def clash_test(shape: Shape, patterns: frozenset[Word]) -> Callable[[bytes], object]:
     """The test, truthy for a word outside the language, of a packed word
-    (its bytes) that has the shape, for a normalised pattern set: one
-    compiled search (`search_212`) for {212} when the digits fit a byte,
-    `member_test` negated otherwise.
+    (its bytes) that has the shape, for a normalised pattern set, when the
+    digits fit a byte: one compiled search (`search_212`) for {212}, a peak
+    test (`_has_peak`) for the live part of the peakless set; `member_test`
+    negated otherwise.
 
     >>> clash = clash_test(make_shape((2, 2)), STIRLING_PATTERNS)
     >>> bool(clash(bytes((2, 1, 2, 1)))), bool(clash(bytes((1, 2, 2, 1))))
     (True, False)
     """
-    if patterns == STIRLING_PATTERNS and shape.m < 256:
-        return search_212(v for v, s in enumerate(shape.multiplicities, 1) if v > 1 and s > 1)
+    if shape.m < 256:
+        if patterns == STIRLING_PATTERNS:
+            return search_212(v for v, s in enumerate(shape.multiplicities, 1) if v > 1 and s > 1)
+        if patterns and patterns == live_patterns(shape, PEAKLESS_PATTERNS):
+            # the peakless set, or the part of it that the shape's words can hold
+            return _has_peak
     member = member_test(patterns)
     return lambda key: not member(key)
+
+
+def _has_peak(key: bytes) -> bool:
+    """Whether a packed word holds a letter above one letter on each side
+    of it, that is one of 132, 231 and 121: whether it fails to fall
+    weakly to its first minimum and rise weakly after it.
+
+    >>> _has_peak(bytes((3, 2, 1, 1, 2))), _has_peak(bytes((2, 1, 3, 1)))
+    (False, True)
+    """
+    low = key.index(min(key)) + 1
+    head, tail = key[:low], key[low:]
+    return head != bytes(sorted(head, reverse=True)) or tail != bytes(sorted(tail))
 
 
 def language(

@@ -20,8 +20,9 @@ vectors (`inversion_vectors`) or the per-visit variable trace
 (`trace_rows`) to a consumer as the loop runs; the last three hold the
 state that they hand the loop and read it at each visit.
 `step_stats` traces that same loop and counts the lines run from one
-visit to the next; like any line count, it does not see work hidden
-inside one line, such as a call or a slice.
+visit to the next (`line_stats`, which traces `peakless._walk` too);
+like any line count, it does not see work hidden inside one line, such
+as a call or a slice.
 """
 
 from __future__ import annotations
@@ -253,11 +254,17 @@ def trace(shape: Shape) -> list[TraceRow]:
 def step_stats(shape: Shape) -> tuple[int, int]:
     """(visit count, most lines run from one visit to the next): a maximum
     that stays constant across shapes is the loopless claim in checkable
-    form.  Traces the lines of `_loopless` itself, handing each word to
-    the no-op visitor `_no_visit`, whose call marks a visit, the final one
-    too, and whose lines are not counted.  The lines before the first
-    visit and after the last are not recorded."""
-    loop = _loopless  # looked up per call, so a test can substitute it
+    form.  Traces the lines of `_loopless` itself (`line_stats`)."""
+    # `_loopless` is looked up per call, so a test can substitute it
+    return line_stats(_loopless, _initial_state(shape))
+
+
+def line_stats(loop, state) -> tuple[int, int]:
+    """(visit count, most lines run from one visit to the next) of
+    `loop(state, _no_visit)`, a loop that hands each word to the no-op
+    visitor `_no_visit`, whose call marks a visit, the final one too, and
+    whose lines are not counted; only the lines of `loop` itself are.  The
+    lines before the first visit and after the last are not recorded."""
     steps, max_steps = float("-inf"), 0  # lines since the latest visit
 
     def count_line(frame, event, arg):
@@ -275,7 +282,7 @@ def step_stats(shape: Shape) -> tuple[int, int]:
     caller = sys.gettrace()
     sys.settrace(on_call)
     try:
-        count = loop(_initial_state(shape), _no_visit)
+        count = loop(state, _no_visit)
     finally:
         sys.settrace(caller)
     return count, max_steps

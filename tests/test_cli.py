@@ -115,6 +115,14 @@ class TestGenerate:
         assert code == 2
         assert "--start" in err
 
+    def test_peakless_start_needs_greedy(self, capsys):
+        # the peakless words default to the loopless engine, as 212 does
+        argv = ("generate", "--shape", "2,1,3", "--avoid", "132,231,121", "--start", "332113")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "--start" in err
+        code, out, _ = run_cli(capsys, *argv, "--engine", "greedy")
+        assert code == 0 and out.startswith("332113\n")
+
 
 class Stop(Exception):
     """Ends a stream early, as a reader that has seen enough would."""
@@ -242,13 +250,27 @@ class TestStream:
         assert [text.count("\n") for text in writes] == [chunk] * full + [rest]
         assert all(text.endswith("\n") for text in writes)
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+    def test_peakless_engines_give_the_same_bytes(self, capsys, fmt):
+        # the loopless walk is the greedy order; only JSON names its engine
+        for shape in all_shapes(6):
+            argv = ("generate", "--shape", format_shape(shape), "--avoid", "132,231,121")
+            default = run_cli(capsys, *argv, "--format", fmt)
+            swept = run_cli(capsys, *argv, "--format", fmt, "--engine", "greedy")
+            if fmt == "json":
+                assert '"engine": "loopless"' in default[1]
+                code, out, err = swept
+                swept = code, out.replace('"engine": "greedy"', '"engine": "loopless"'), err
+            assert default == swept
+
     def test_greedy_text_is_the_run(self, capsys):
         # no patterns gives "patterns": [], and a one-word shape "moves": []
         for n in range(1, 7):
             for shape in all_shapes(n):
                 for avoid in ("", "231", "12121", "132,121", "132,231,121"):
                     run = generate_greedy(shape, avoid.split(",") if avoid else ())
-                    argv = ("generate", "--shape", format_shape(shape), "--avoid", avoid)
+                    argv = ("generate", "--shape", format_shape(shape), "--avoid", avoid,
+                            "--engine", "greedy")
                     _, out, _ = run_cli(capsys, *argv)
                     assert out == "".join(format_word(w) + "\n" for w in run.words)
                     _, out, _ = run_cli(capsys, *argv, "--format", "json")
@@ -580,6 +602,13 @@ class TestVerify:
         loopless = run_cli(capsys, *argv, "--engine", "loopless")
         assert loopless == run_cli(capsys, *argv, "--engine", "greedy")
         assert loopless[0] == 0 and "words: 945" in loopless[1].splitlines()
+
+    def test_both_engines_give_the_same_peakless_report(self, capsys):
+        # the peakless walk is the greedy order too; the default is the walk
+        argv = ("verify", "--shape", "3^4", "--avoid", "132,231,121")
+        loopless = run_cli(capsys, *argv)
+        assert loopless == run_cli(capsys, *argv, "--engine", "greedy")
+        assert loopless[0] == 0 and "words: 64" in loopless[1].splitlines()
 
     def test_start_needs_greedy(self, capsys):
         code, out, err = run_cli(

@@ -27,7 +27,7 @@ PATTERN_SETS = ("", "212", "231", "12121", "132,121", "132,231,121", "312")
 
 DIGESTS = {
     "generate text": "9db7d028ede860ad210ef1012096434d729e8ad26ade5c5c6e0da309ef49bf54",
-    "generate json": "4d8312b6b0a8c1e66828c837ffccdd2bf5a74e3e959337f06e1937d58e5f69d0",
+    "generate json": "24dc2bd6d8e4011070c0e9dddd34b289c54d399aa5bd614a666dca1df9a172c2",
     "generate dot": "f90658d1099aee3ac45f9214e74b2d52112eb9b52dbeace0d7059d6ad2b3faf5",
     "trees text": "0ceeadf932de129eba4c70316c5eb87f07fa1187653d7d14458fb13443a7ce07",
     "trees json": "b2db54e1d1f3b14289dd0228b5d2a0f54877ac275d47882a40c0c7b75c423dc0",

@@ -68,6 +68,17 @@ class TestEnumeration:
                 for word in all_swords(shape):
                     assert bool(clash(bytes(word))) == (not avoids_all(word, pats)), word
 
+    def test_peak_test_on_every_word_up_to_seven_letters(self):
+        # the live part of the peakless set takes the one-pass peak test,
+        # which rejects exactly the words the reference filter does
+        for n in range(1, 8):
+            for shape in all_shapes(n):
+                live = oracle.live_patterns(shape, PEAKLESS_PATTERNS)
+                clash = oracle.clash_test(shape, live)
+                assert (clash is oracle._has_peak) == bool(live), shape
+                for word in all_swords(shape):
+                    assert bool(clash(bytes(word))) == (not avoids_all(word, live)), word
+
     def test_peakless_example(self):
         lang = language(make_shape((2, 2)), PEAKLESS_PATTERNS)
         assert lang == ((1, 1, 2, 2), (2, 1, 1, 2), (2, 2, 1, 1))
