@@ -29,9 +29,9 @@ from .oracle import SizeLimitError
 from .patterns import format_patterns, normalize_patterns
 from .words import _DIGITS, Shape, format_word, nondecreasing_word, parse_shape, parse_word
 
-# items per write: the first write comes after one chunk, and no more than
-# one chunk of output is held at a time
-CHUNK = 4096
+# the output, in characters, that one write aims at: a write holds as many
+# items as fit it, so what is held at a time does not grow with the words
+BUDGET = 1 << 16
 # each number 0..255 as the width of its digits
 _WIDTHS = bytes.maketrans(bytes(range(256)), bytes(len(str(d)) for d in range(256)))
 
@@ -56,23 +56,33 @@ def _cap(text: str) -> int:
 
 def _chunks(feed, convert, take):
     """Run `feed` with a visitor that keeps `convert(item)` of each item and
-    hands every CHUNK kept items, and the rest at the end, to `take`.  With
-    `convert` None, `feed` is a feed of steps, and the visitor keeps the
-    moves as they are.  Returns what `feed` returns."""
+    hands the kept items to `take` a chunk at a time, and the rest at the
+    end.  `take` returns the chunk's size in characters.  The first chunk
+    is one item, so that the first item goes out at once; each next chunk
+    doubles the last, but holds no more items than fit BUDGET at the last
+    chunk's size per item.  With `convert` None, `feed` is a feed of steps,
+    and the visitor keeps the moves as they are.  Returns what `feed`
+    returns."""
     kept: list = []
+    size = 1  # the items of the chunk being kept
+
+    def hand() -> None:
+        nonlocal size
+        count = len(kept)
+        fit = count * BUDGET // take(kept)
+        kept.clear()
+        size = max(1, min(2 * count, fit))
 
     def add(item) -> None:
         kept.append(convert(item))
-        if len(kept) == CHUNK:
-            take(kept)
-            kept.clear()
+        if len(kept) == size:
+            hand()
 
     def add_move(_, move) -> None:
         if move is not None:
             kept.append(move)
-            if len(kept) == CHUNK:
-                take(kept)
-                kept.clear()
+            if len(kept) == size:
+                hand()
 
     result = feed(add_move if convert is None else add)
     if kept:
@@ -86,10 +96,12 @@ def _write_chunks(feed, convert, render, sep: str = ""):
     looked up at each write.  Returns what `feed` returns."""
     lead = ""
 
-    def write(kept) -> None:
+    def write(kept) -> int:
         nonlocal lead
-        sys.stdout.write(lead + render(kept))
+        text = lead + render(kept)
+        sys.stdout.write(text)
         lead = sep
+        return len(text)
 
     return _chunks(feed, convert, write)
 
@@ -102,6 +114,13 @@ def _digit_lines(kept: list[bytes]) -> str:
     return (b"\n".join(kept) + b"\n").translate(_DIGITS).decode()
 
 
+def _comma_lines(kept: list[bytes]) -> str:
+    # the chunk's words in comma form: one template with a "%d" for each
+    # number, filled by one C-level format
+    n = len(kept[0])
+    return (("%d," * (n - 1) + "%d\n") * len(kept)) % tuple(b"".join(kept))
+
+
 def _digit_lists(kept: list[bytes]) -> str:
     """The JSON lists of words of one length n, joined by ", ": a template
     of "[0, 0, ..., 0], " per word, whose cells for each of the n places,
@@ -112,6 +131,14 @@ def _digit_lists(kept: list[bytes]) -> str:
     for c in range(n):
         out[1 + 3 * c :: 3 * n + 2] = digits[c::n]
     return out[:-2].decode()
+
+
+def _word_lines(shape: Shape):
+    """The (convert, render) with which `_write_chunks` writes the words
+    of `shape` as `format_word` lines: bytes up to m = 255, else text."""
+    if shape.m > 255:  # too large for a byte
+        return format_word, _lines
+    return bytes, (_digit_lines if shape.m <= 9 else _comma_lines)
 
 
 def _word_lists(shape: Shape):
@@ -232,10 +259,8 @@ def _cmd_generate(args) -> int:
     elif args.format == "dot":
         run = (words, tuple, trees.dot_word), (moves, None, trees.dot_edge)
         complete = _write_dot("run", *run) == size
-    elif shape.m <= 9:  # one `format_word` line per word
-        complete = _write_chunks(words, bytes, _digit_lines) == size
     else:
-        complete = _write_chunks(words, format_word, _lines) == size
+        complete = _write_chunks(words, *_word_lines(shape)) == size
     if args.expect_complete and not complete:
         print("run is incomplete", file=sys.stderr)
         return 1
@@ -299,14 +324,18 @@ def _cmd_trace(args) -> int:
     # move's "-" is as wide as a 0
     numbers, words = [0] * 4, [0] * 3  # each column's largest number, widest word
 
-    def widen(kept) -> None:
+    def columns() -> list[int]:  # the widths, from the rows seen so far
+        sizes = (_widest([nondecreasing_word(shape)]), *map(len, map(str, numbers)), *words, shape.m)
+        return list(map(max, map(len, names), sizes))
+
+    def widen(kept) -> int:
         _, *numeric, left, inv, fs, _ = zip(*kept)
         numbers[:] = map(max, numbers, (max(filter(None, col), default=0) for col in numeric))
         words[:] = map(max, words, map(_widest, (left, inv, fs)))
+        return len(kept) * (sum(columns()) + 2 * len(names))  # the rows' size in the table
 
     _chunks(rows, tuple, widen)
-    sizes = (_widest([nondecreasing_word(shape)]), *map(len, map(str, numbers)), *words, shape.m)
-    widths = list(map(max, map(len, names), sizes))
+    widths = columns()
     signs = functools.cache(lambda dirs: "".join("+" if d > 0 else "-" for d in dirs))
 
     def table(kept) -> str:

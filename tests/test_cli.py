@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -133,6 +134,17 @@ class Discard(io.TextIOBase):
         return len(text)
 
 
+def assert_schedule(counts, sizes):
+    """The items and characters of a list's writes keep the chunk rule:
+    one item first, then twice the items of the write before, but no more
+    than fit the budget at that write's size per item.  The last write
+    holds what is left."""
+    assert counts[0] == 1
+    for i in range(1, len(counts)):
+        due = max(1, min(2 * counts[i - 1], counts[i - 1] * cli.BUDGET // sizes[i - 1]))
+        assert counts[i] == due or (i == len(counts) - 1 and counts[i] < due), i
+
+
 def replay(run):
     """The (walk, size) of a greedy walk that replays a finished run."""
 
@@ -166,19 +178,21 @@ class TestStream:
             assert default == loopless
 
     def test_comma_form_on_a_prefix(self, monkeypatch):
-        # 10! words with m = 10: the first chunk is compared, then the
-        # stream is stopped
+        # 10! words with m = 10: the writes are compared until they hold
+        # 4,096 words, then the stream is stopped
         writes = []
 
         def write(text):
             writes.append(text)
-            raise Stop
+            if "".join(writes).count("\n") >= 4096:
+                raise Stop
 
         monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=write))
         with pytest.raises(Stop):
             parse_and_dispatch(["generate", "--shape", "1^10", "--avoid", "212"])
-        lines = writes[0].splitlines()
-        assert len(lines) == cli.CHUNK
+        assert writes[0] == "1,2,3,4,5,6,7,8,9,10\n"
+        lines = "".join(writes).splitlines()
+        assert len(lines) >= 4096
         expected = []
 
         def visit(perm):
@@ -236,19 +250,35 @@ class TestStream:
         assert code == 0
         assert peak < 4_000_000
 
+    def test_long_word_memory_stays_flat(self):
+        # 3,001 words of 3,001 letters: a chunk of 4,096 words held all of
+        # them and peaked at 27 MB; chunks that fit 64 kB of output peaked
+        # at 0.8 MB
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(Discard()):
+                code = parse_and_dispatch(["generate", "--shape", "1,3000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2_000_000
+
     @pytest.mark.parametrize(
         "argv, words",
         [(("2^6", "--avoid", "212"), 10395), (("1^7",), 5040)],
         ids=["loopless", "greedy"],
     )
     def test_one_write_per_chunk(self, monkeypatch, argv, words):
+        # 2^6 writes 135 kB, past the budget; 1^7 writes 40 kB, under it
         writes = []
         monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
         assert parse_and_dispatch(["generate", "--shape", *argv]) == 0
-        chunk = cli.CHUNK
-        full, rest = divmod(words, chunk)
-        assert [text.count("\n") for text in writes] == [chunk] * full + [rest]
+        counts = [text.count("\n") for text in writes]
+        assert sum(counts) == words
         assert all(text.endswith("\n") for text in writes)
+        assert_schedule(counts, list(map(len, writes)))
+        assert max(map(len, writes)) <= cli.BUDGET  # the words are all one size
 
     @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
     def test_peakless_engines_give_the_same_bytes(self, capsys, fmt):
@@ -290,9 +320,9 @@ class TestStream:
         assert out == json.dumps(run_to_payload(run, "greedy")) + "\n"
 
     def test_greedy_stops_with_the_reader(self, monkeypatch):
-        # 40,320 words; the first write that holds words fails, as to a
-        # reader that has gone: in text the first write, in JSON and DOT the
-        # second, after their head
+        # 40,320 words; the third write that holds words fails, as to a
+        # reader that has gone: in text the third write, in JSON and DOT the
+        # fourth, after their head
         walked, writes = [], []
 
         def counted(engine):
@@ -316,14 +346,14 @@ class TestStream:
         for name in ("_scan", "_sweep"):
             monkeypatch.setattr(greedy, name, counted(getattr(greedy, name)))
         monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=write))
-        for fmt, fine in (("text", 0), ("json", 1), ("dot", 1)):
+        for fmt, fine in (("text", 2), ("json", 3), ("dot", 3)):
             walked.clear()
             writes.clear()
             with pytest.raises(BrokenPipeError):
                 parse_and_dispatch(["generate", "--shape", "1^8", "--avoid", "12121", "--format", fmt])
-            # the start and the steps after it, of a walk that did run
-            assert walked, fmt
-            assert 1 + len(walked) <= cli.CHUNK + 1, fmt
+            # the start and the steps after it, of a walk that did run: it
+            # stops at the last of the 1 + 2 + 4 words that the failed write held
+            assert 1 + len(walked) == 7, fmt
 
     @pytest.mark.parametrize("fmt", ["text", "json", "dot"])
     @pytest.mark.parametrize(
@@ -765,10 +795,10 @@ class TestTrace:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_memory_stays_flat(self, monkeypatch, fmt):
-        # the rows go out a chunk at a time: with chunks of 64 rows, the 720
-        # rows of 1^6 peaked at 0.96 MB (text) and 2.8 MB (JSON) when the
-        # whole table was built first
-        monkeypatch.setattr(cli, "CHUNK", 64)
+        # the rows go out a chunk at a time: with chunks of 4 kB of output,
+        # the 720 rows of 1^6 peaked at 0.3 MB (text) and 0.09 MB (JSON);
+        # they peaked at 0.96 MB and 2.8 MB when the whole table was built first
+        monkeypatch.setattr(cli, "BUDGET", 4096)
         tracemalloc.start()
         try:
             with contextlib.redirect_stdout(Discard()):
@@ -821,6 +851,57 @@ class TestZigzag:
         assert "--shape" in err
 
 
+class TestWriteSchedule:
+    # the sha256 of each command's output as it was when every write held
+    # 4,096 items: a new schedule must not change one byte
+    DIGESTS = {
+        "generate --shape 2^6 --avoid 212 --format text": "f99722ff918c585681c6b10528943bbe4f9d24396f7a3e1d9631a9e56263752d",
+        "generate --shape 2^6 --avoid 212 --format json": "7daa60709e20a8fc1cf4c0d8f639975b226355fb13bb083090915ce5eb4b75d3",
+        "generate --shape 2^6 --avoid 212 --format dot": "16019ebb36e8864dbd84732e8145507ed5702bf7e1eb062b98a3c18c050ed8d7",
+        "generate --shape 1^7 --avoid 12121 --format text": "f6d55504b02307f050136c125d4b48c9bcda7c75c509d6b0ca274fc3c9525ac9",
+        "generate --shape 1^7 --avoid 12121 --format json": "dcbbaf2b2cafb911196eb5669aa8e5aa61dc7a665790d82e5349ab56a79ecd1c",
+        "generate --shape 1^7 --avoid 12121 --format dot": "2db88c08bc796405147f0667ad8367e14ea420fbf05a0a82fdfee1f1f3db1ae6",
+        "trees --shape 2^6 --format text": "164ae16735f3ad3a7f5fd2b99d122fb552fe7cbe63dfa767cfea8a068feba25f",
+        "trees --shape 2^6 --format json": "a5b23890724cbf8630a22f5f6aeb2e611d02ee68aef9f17b990e1c610b1eda3b",
+        "trees --shape 2^6 --format dot": "2bd2443ac163e935b5aa14c488acb592d55b1317688b06a0fd63fb9260aa078d",
+        "trees --shape 2^5 --kind kary --format text": "68c2539fb8b75b02757882128ccf10df61bf1751992f37e6ab726a2f453e5f7d",
+        "trees --shape 2^5 --kind kary --format json": "eb0bd018e10d51bad3e5a3eff3764dad49d25b06bc2a499958c5188054cc80f8",
+        "trees --shape 2^5 --kind kary --format dot": "352e13e6830672839d9a30fea33b2b4ae51a13a1960567eb289ea008df72c30f",
+        "path --shape 2^6 --format text": "8753243d2c4c8dc062fcb782373e563afc4160dd28765df511b1855bd0e51981",
+        "path --shape 2^6 --format json": "df15188096e03d5fa2ae8b18989b792957fd4a3fadf013387f8867662dad0cb4",
+        "path --shape 2^6 --format dot": "2c35a30546e3926b2fa36e69abfb49e501a64e3101f474014c8ac48c99ccc161",
+        "trace --shape 1^7 --format text": "e4beebd4e999c94b894ceb48c1b37a174c7192ce40dd440b167e6291a0186f44",
+        "trace --shape 1^7 --format json": "21e929f923c8deb85204629baae0bd9af84822bbe755192d19b2a4996007f3e1",
+    }
+
+    @pytest.mark.parametrize("argv", DIGESTS)
+    def test_writes_double_to_the_budget(self, monkeypatch, argv):
+        writes, lists = [], []
+        real = cli._write_chunks
+
+        def spied(feed, convert, render, sep=""):
+            marks = []  # the write and the items of each chunk of one list
+            lists.append(marks)
+
+            def measured(kept):
+                marks.append((len(writes), len(kept)))
+                return render(kept)
+
+            return real(feed, convert, measured, sep)
+
+        monkeypatch.setattr(cli, "_write_chunks", spied)
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+        assert parse_and_dispatch(argv.split()) == 0
+        assert hashlib.sha256("".join(writes).encode()).hexdigest() == self.DIGESTS[argv]
+        # the write after the head (a table's header line, JSON's or DOT's
+        # head; none for other text) holds the first item alone
+        head = 0 if argv.endswith("text") and not argv.startswith("trace") else 1
+        assert lists[0][0] == (head, 1)
+        for marks in lists:
+            at, counts = zip(*marks)
+            assert_schedule(counts, [len(writes[i]) for i in at])
+
+
 class TestDigitLists:
     @settings(deadline=None)
     @given(
@@ -838,9 +919,10 @@ class TestDigitLists:
 
     @pytest.mark.parametrize("shape", ["1", "3", "2,1,3", "1,2,1,2"])
     def test_words_in_chunks(self, capsys, monkeypatch, shape):
-        # chunks of 5 leave a partial last chunk on 12 and 36 words; shapes
+        # a budget of 40 characters gives chunks of 1, 2, then as many words
+        # as fit 40, with a partial last chunk on 12 and 36 words; shapes
         # 1 and 3 have one word of one letter
-        monkeypatch.setattr(cli, "CHUNK", 5)
+        monkeypatch.setattr(cli, "BUDGET", 40)
         for command in (("generate", "--avoid", "212"), ("trees",)):
             code, out, _ = run_cli(capsys, *command, "--shape", shape, "--format", "json")
             assert code == 0
@@ -852,10 +934,11 @@ class TestTreesAndPath:
     @pytest.mark.parametrize("fmt", ["json", "dot"])
     @pytest.mark.parametrize("command", ["trees", "path"])
     def test_memory_stays_flat(self, monkeypatch, command, fmt):
-        # the items go out a chunk at a time: with chunks of 64 items, the
-        # 10,395 words of 2^6 peaked at 5.3 MB (path JSON) to 64 MB (trees
-        # DOT) when the whole order was built first
-        monkeypatch.setattr(cli, "CHUNK", 64)
+        # the items go out a chunk at a time: with chunks of 4 kB of output,
+        # the 10,395 words of 2^6 peaked at 0.02 MB (trees JSON) to 0.47 MB
+        # (trees DOT); they peaked at 5.3 MB (path JSON) to 64 MB (trees DOT)
+        # when the whole order was built first
+        monkeypatch.setattr(cli, "BUDGET", 4096)
         tracemalloc.start()
         try:
             with contextlib.redirect_stdout(Discard()):

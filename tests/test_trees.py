@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swordgen.oracle import all_shapes, all_swords, k_catalan, language, stirling_count
-from swordgen.patterns import contains_pattern
+from swordgen.oracle import KCATALAN_PATTERNS, all_shapes, all_swords, k_catalan, language, stirling_count
+from swordgen.patterns import avoids_all, contains_pattern
 from swordgen.stirling import loopless_run, stirling_sequence, trace
 from swordgen.trees import (
     KTree,
@@ -214,6 +214,21 @@ class TestKTree:
             kcatalan_word_to_tree((1, 2, 1, 2), 3)  # contains 121
         with pytest.raises(TreeError):
             kcatalan_word_to_tree((1, 2), 1)
+
+    def test_membership_is_the_brute_force_one(self):
+        # every word with n <= 8 and k - 1 copies of each value: the
+        # one-pass test of the complement rejects exactly the words that
+        # hold 132 or 121
+        for k in range(2, 10):
+            for m in range(1, 8 // (k - 1) + 1):
+                for w in all_swords(make_shape((k - 1,) * m)):
+                    expected = avoids_all(w, KCATALAN_PATTERNS)
+                    try:
+                        kcatalan_tree_text(w, k)
+                    except WordError:
+                        assert not expected, w
+                    else:
+                        assert expected, w
 
     def test_rejects_bad_arity(self):
         lopsided = KTree((KTree((None, None, None)), None))
