@@ -16,11 +16,14 @@ size.  The walk is a feed like the loopless loop's views: called with a
 visitor, it hands the visitor each word with the move into it as the word
 is chosen, and returns the word count, so a reader takes the words while
 it runs; `generate_greedy` collects the walk into a `GrayCodeRun`.  The
-walk has two engines: the block scan (`_scan`), which keeps the visited
-words and tests each candidate against the live patterns, and, from the
+walk has three engines: the block scan (`_scan`), which keeps the visited
+words and tests each candidate against the live patterns; from the
 nondecreasing word of a syntactically zig-zag language, the sweep on the
 generating tree (`_sweep`), which makes the same choices with no visited
-set and no membership test per candidate.
+set and no membership test per candidate; and from the nondecreasing
+word with no live pattern, the loopless walk of every word of the shape
+(`plain.plain_steps`), which makes the sweep's choices on one word list
+changed in place, and so hands its visitor that list.
 The language is sized, and refused over the cap, by `oracle.language_size`;
 no list of its words is made.
 
@@ -285,9 +288,10 @@ def greedy_walk(
     over the language of words avoiding `patterns`; return `(walk, size)`.
     `walk(visit)` walks afresh, calls `visit(word, move)` for each visited
     word with the move into it (None for the start) as the word is chosen,
-    and returns the word count; `size` is the language's, so a walk of
-    `size` words is complete.  Every refusal (a bad start, the cap) is
-    raised here, before any word is walked."""
+    and returns the word count (the word may be a list that the walk
+    reuses); `size` is the language's, so a walk of `size` words is
+    complete.  Every refusal (a bad start, the cap) is raised here, before
+    any word is walked."""
     first = nondecreasing_word(shape)
     word = start if start is not None else first
     validate_word(shape, word)
@@ -301,10 +305,16 @@ def greedy_walk(
     # the scan walks the packed words (`_key`), whose candidates have the
     # shape and so take the packed-word test
     clash = oracle.clash_test(shape, live)
-    # from the nondecreasing word a zig-zag language is swept on the tree
+    # from the nondecreasing word a zig-zag language is swept on the tree,
+    # and one with no live pattern is walked in place
     sweep = word == first and all(map(zigzag_pattern, live))
+    free = word == first and not live
+    if free:
+        from . import plain  # plain imports stirling, which imports greedy
 
     def walk(visit: Callable[[Word, Optional[BumpMove]], None]) -> int:
+        if free:
+            return plain.plain_steps(shape, visit)
         visit(word, None)
         if sweep:
             return 1 + _sweep(shape, word, live, visit)

@@ -219,8 +219,9 @@ def clash_test(shape: Shape, patterns: frozenset[Word]) -> Callable[[bytes], obj
     """The test, truthy for a word outside the language, of a packed word
     (its bytes) that has the shape, for a normalised pattern set, when the
     digits fit a byte: one compiled search (`search_212`) for {212}, a peak
-    test (`_has_peak`) for the live part of the peakless set; `member_test`
-    negated otherwise.
+    test (`_has_peak`) for the live part of the peakless set, and for the
+    live part of the k-Catalan set the one-pass `_avoids_212_312` on the
+    complement; `member_test` negated otherwise.
 
     >>> clash = clash_test(make_shape((2, 2)), STIRLING_PATTERNS)
     >>> bool(clash(bytes((2, 1, 2, 1)))), bool(clash(bytes((1, 2, 2, 1))))
@@ -232,6 +233,10 @@ def clash_test(shape: Shape, patterns: frozenset[Word]) -> Callable[[bytes], obj
         if patterns and patterns == live_patterns(shape, PEAKLESS_PATTERNS):
             # the peakless set, or the part of it that the shape's words can hold
             return _has_peak
+        if patterns and patterns == live_patterns(shape, KCATALAN_PATTERNS):
+            # a word avoids 132 and 121 when its complement avoids 212 and 312
+            flip = bytes.maketrans(bytes(range(1, shape.m + 1)), bytes(range(shape.m, 0, -1)))
+            return lambda key: not _avoids_212_312(key.translate(flip))
     member = member_test(patterns)
     return lambda key: not member(key)
 
@@ -247,6 +252,31 @@ def _has_peak(key: bytes) -> bool:
     low = key.index(min(key)) + 1
     head, tail = key[:low], key[low:]
     return head != bytes(sorted(head, reverse=True)) or tail != bytes(sorted(tail))
+
+
+def _avoids_212_312(word) -> bool:
+    """Whether no digit d follows a digit below it that follows a digit of
+    d or more: whether `word` avoids 212 and 312, as its complement avoids
+    121 and 132.  One pass over the stack of `trees._increasing_tree`,
+    where each open value also holds the largest value closed above it; a
+    new digit must pass the largest closed above the value it is opened on.
+
+    >>> _avoids_212_312((1, 3, 2, 2)), _avoids_212_312((3, 1, 2))
+    (True, False)
+    """
+    labels, highs = [0], [0]
+    for d in word:
+        high = 0
+        while labels[-1] > d:
+            high = max(high, labels.pop(), highs.pop())
+        if labels[-1] == d:
+            highs[-1] = max(highs[-1], high)
+        elif d <= highs[-1]:  # a larger or equal digit, then a smaller one, sits before d
+            return False
+        else:
+            labels.append(d)
+            highs.append(high)
+    return True
 
 
 def language(

@@ -52,8 +52,9 @@ def _initial_state(shape: Shape):
     return m, s, t, perm, left, inv, fs, dirs
 
 
-def _no_visit(perm) -> None:
-    """The visitor of a loop that only counts."""
+def _no_visit(perm, move=None) -> None:
+    """The visitor of a loop that only counts; `plain._walk` hands it the
+    move too."""
 
 
 def _loopless(state, on_visit=_no_visit) -> int:

@@ -214,34 +214,9 @@ def _kcatalan_complement(word: Word, k: int) -> Word:
             f"{format_word(word)} does not have {k - 1} copies of every value"
         )
     complement = tuple(shape.m + 1 - d for d in word)
-    if not _avoids_212_312(complement):
+    if not oracle._avoids_212_312(complement):
         raise WordError(f"{format_word(word)} contains 132 or 121")
     return complement
-
-
-def _avoids_212_312(word: Word) -> bool:
-    """Whether no digit d follows a digit below it that follows a digit of
-    d or more: whether `word` avoids 212 and 312, as its complement avoids
-    121 and 132.  One pass over the stack of `_increasing_tree`, where each
-    open value also holds the largest value closed above it; a new digit
-    must pass the largest closed above the value it is opened on.
-
-    >>> _avoids_212_312((1, 3, 2, 2)), _avoids_212_312((3, 1, 2))
-    (True, False)
-    """
-    labels, highs = [0], [0]
-    for d in word:
-        high = 0
-        while labels[-1] > d:
-            high = max(high, labels.pop(), highs.pop())
-        if labels[-1] == d:
-            highs[-1] = max(highs[-1], high)
-        elif d <= highs[-1]:  # a larger or equal digit, then a smaller one, sits before d
-            return False
-        else:
-            labels.append(d)
-            highs.append(high)
-    return True
 
 
 def _unlabeled_text(_: int, children: tuple[str, ...]) -> str:

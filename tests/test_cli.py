@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import swordgen
-from swordgen import cli, greedy, oracle, stirling, trees
+from swordgen import cli, greedy, oracle, plain, stirling, trees
 from swordgen.cli import parse_and_dispatch
 from swordgen.greedy import generate_greedy, run_from_payload, run_to_payload
 from swordgen.oracle import all_shapes, multinomial, stirling_count
@@ -330,7 +330,8 @@ class TestStream:
                 *args, visit = args
 
                 def seen(word, move):
-                    walked.append(word)
+                    if move is not None:  # the plain walk hands the start too
+                        walked.append(word)
                     visit(word, move)
 
                 return engine(*args, seen)
@@ -343,8 +344,8 @@ class TestStream:
                 raise BrokenPipeError
 
         # count the steps of whichever engine the walk runs
-        for name in ("_scan", "_sweep"):
-            monkeypatch.setattr(greedy, name, counted(getattr(greedy, name)))
+        for module, name in ((greedy, "_scan"), (greedy, "_sweep"), (plain, "plain_steps")):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
         monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=write))
         for fmt, fine in (("text", 2), ("json", 3), ("dot", 3)):
             walked.clear()

@@ -58,7 +58,9 @@ class TestEnumeration:
         assert got == want
 
     @pytest.mark.parametrize(
-        "pats", [frozenset(), STIRLING_PATTERNS, KCATALAN_PATTERNS, PEAKLESS_PATTERNS]
+        "pats",
+        # {132} is the live part of the k-Catalan set on shapes with no repeated letter
+        [frozenset(), STIRLING_PATTERNS, KCATALAN_PATTERNS, frozenset({(1, 3, 2)}), PEAKLESS_PATTERNS],
     )
     def test_clash_test_on_every_word_up_to_six_letters(self, pats):
         # the packed-word test rejects exactly the words the reference filter does
