@@ -54,15 +54,15 @@ def _cap(text: str) -> int:
 # A feed of steps hands each word with the move into it, None for the first.
 
 
-def _chunks(feed, convert, take):
+def _chunks(feed, convert, take, steps=False):
     """Run `feed` with a visitor that keeps `convert(item)` of each item and
     hands the kept items to `take` a chunk at a time, and the rest at the
     end.  `take` returns the chunk's size in characters.  The first chunk
     is one item, so that the first item goes out at once; each next chunk
     doubles the last, but holds no more items than fit BUDGET at the last
-    chunk's size per item.  With `convert` None, `feed` is a feed of steps,
-    and the visitor keeps the moves as they are.  Returns what `feed`
-    returns."""
+    chunk's size per item.  With `convert` None or `steps` set, `feed` is a
+    feed of steps, and the visitor keeps the moves as they are or, with
+    `steps`, `convert(word)` of each word.  Returns what `feed` returns."""
     kept: list = []
     size = 1  # the items of the chunk being kept
 
@@ -78,19 +78,24 @@ def _chunks(feed, convert, take):
         if len(kept) == size:
             hand()
 
+    def add_word(word, _) -> None:
+        kept.append(convert(word))
+        if len(kept) == size:
+            hand()
+
     def add_move(_, move) -> None:
         if move is not None:
             kept.append(move)
             if len(kept) == size:
                 hand()
 
-    result = feed(add_move if convert is None else add)
+    result = feed(add_move if convert is None else add_word if steps else add)
     if kept:
         take(kept)
     return result
 
 
-def _write_chunks(feed, convert, render, sep: str = ""):
+def _write_chunks(feed, convert, render, sep: str = "", steps=False):
     """`_chunks`, each chunk going to `sys.stdout` in one write as
     `render(kept)`, writes after the first led by `sep`.  `sys.stdout` is
     looked up at each write.  Returns what `feed` returns."""
@@ -103,7 +108,7 @@ def _write_chunks(feed, convert, render, sep: str = ""):
         lead = sep
         return len(text)
 
-    return _chunks(feed, convert, write)
+    return _chunks(feed, convert, write, steps)
 
 
 def _lines(kept: list[str]) -> str:
@@ -231,9 +236,7 @@ def _cmd_generate(args) -> int:
         walk_words, walk_steps = _LOOPLESS[pats]
         words = functools.partial(walk_words, shape)
         moves = functools.partial(walk_steps, shape, make)
-    elif args.format == "text":
-        words = lambda visit: walk(lambda word, _: visit(word))
-    else:
+    elif args.format != "text":
         # the walk runs once; JSON and DOT keep each move's text, made once
         # per distinct move, until the words are out
         made, kept = functools.cache(make), []
@@ -259,8 +262,8 @@ def _cmd_generate(args) -> int:
     elif args.format == "dot":
         run = (words, tuple, trees.dot_word), (moves, None, trees.dot_edge)
         complete = _write_dot("run", *run) == size
-    else:
-        complete = _write_chunks(words, *_word_lines(shape)) == size
+    else:  # a walk's steps go to the writer as they come
+        complete = _write_chunks(walk or words, *_word_lines(shape), steps=walk is not None) == size
     if args.expect_complete and not complete:
         print("run is incomplete", file=sys.stderr)
         return 1
@@ -399,7 +402,9 @@ def _cmd_trees(args) -> int:
         walk, _ = greedy.greedy_walk(shape, oracle.KCATALAN_PATTERNS, cap=args.cap)
         text = lambda word: trees.kcatalan_tree_text(word, k)
         tree = lambda word: trees.kcatalan_word_to_tree(word, k)
-        if args.format != "json":
+        if args.format == "text":
+            words = walk  # its steps go to the writer as they come
+        elif args.format == "dot":
             words = lambda visit: walk(lambda word, _: visit(word))
         else:
             # the walk runs once, as in `generate`, and keeps each tree's
@@ -425,7 +430,7 @@ def _cmd_trees(args) -> int:
     elif args.format == "dot":
         _write_dot("trees", (words, tuple, lambda idx, word: trees.dot_tree(idx, tree(word))))
     else:
-        _write_chunks(words, text, _lines)
+        _write_chunks(words, text, _lines, steps=args.kind == "kary")
     return 0
 
 

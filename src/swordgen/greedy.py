@@ -16,14 +16,14 @@ size.  The walk is a feed like the loopless loop's views: called with a
 visitor, it hands the visitor each word with the move into it as the word
 is chosen, and returns the word count, so a reader takes the words while
 it runs; `generate_greedy` collects the walk into a `GrayCodeRun`.  The
-walk has three engines: the block scan (`_scan`), which keeps the visited
-words and tests each candidate against the live patterns; from the
-nondecreasing word of a syntactically zig-zag language, the sweep on the
-generating tree (`_sweep`), which makes the same choices with no visited
-set and no membership test per candidate; and from the nondecreasing
-word with no live pattern, the loopless walk of every word of the shape
-(`plain.plain_steps`), which makes the sweep's choices on one word list
-changed in place, and so hands its visitor that list.
+walk has three engines, each handing on the word it holds: the block scan
+(`_scan`), which keeps the visited words packed as `bytes` and tests each
+candidate against the live patterns; from the nondecreasing word of a
+syntactically zig-zag language, the sweep on the generating tree
+(`_sweep`), which makes the same choices on tuples with no visited set and
+no membership test per candidate; and from the nondecreasing word with no
+live pattern, the loopless walk of every word of the shape
+(`plain.plain_steps`), which makes them on one list changed in place.
 The language is sized, and refused over the cap, by `oracle.language_size`;
 no list of its words is made.
 
@@ -40,7 +40,6 @@ from typing import Callable, NamedTuple, Optional
 
 from . import oracle
 from .bumps import LEFT, RIGHT, BumpError, BumpMove, bump_window, classify_move
-from .bumps import _first_bump, _move  # the minimal-bump search
 from .oracle import SizeLimitError, parent_word
 from .patterns import avoids_all, normalize_patterns
 from .words import (
@@ -101,58 +100,55 @@ def _scan(shape: Shape, start: Word, member: Callable[[Word], bool], visit) -> i
     """Call `visit(word, move)` for each word after `start`, with the move
     into it, as it is chosen; return how many there were.  The choice from
     a word is the first block, in priority order, whose minimal bump reaches
-    an unvisited word, and the walk halts when there is none.  Every visited
-    word is a member, so a visited minimal result ends the block.  The
-    words may be tuples or packed bytes; the visited ones are kept packed
-    (`_key`)."""
-    visited = {_key(start)}
-    w = start
+    an unvisited word, and the walk halts when there is none.  The words
+    are tuples or packed bytes, as `start` is, and are kept as they are.
+
+    A rightward block w[lo:b] runs from its anchor to the end of its run
+    w[a:b], so the rank of w[b - 1] leads it; a leftward block w[a:hi] ends
+    at its anchor, whose rank leads.  Ranks descend with the value and then
+    from right to left, so the runs go from the right, each giving its
+    rightward blocks, narrower first, then its leftward ones, wider first.
+    Every visited word is a member: a visited result ends its block."""
+    n, m, counts, prefix = shape.n, shape.m, shape.multiplicities, shape.prefix
+    visited, w = {start}, start
     while True:
-        for rank, direction, lo, hi in _bump_blocks(shape, w):
-            found = _first_bump(w, lo, hi, direction, member)
-            if found is not None:
-                key = _key(found[1])
-                if key not in visited:
-                    d, w = found
-                    visited.add(key)
-                    visit(w, _move(rank, direction, lo, hi, d))
-                    break
-        else:
-            return len(visited) - 1
-
-
-def _bump_blocks(shape: Shape, w: Word):
-    """Every movable block of `w` as (rank, direction, lo, hi), in the
-    greedy priority order: the block's leading rank descending, rightward
-    before leftward, then the narrower block.
-
-    A rightward block runs from its anchor to the end of the anchor's run,
-    so its leading rank is the rank of that run's last copy; a leftward
-    block ends at its anchor, whose rank leads.  Ranks descend with the
-    value and, within a value, from right to left, so a run's last copy
-    comes first and the walk over its rightward blocks finds the run's
-    start for the copies after it: each run is walked once.
-    """
-    n = len(w)
-    for v in range(shape.m, 0, -1):
-        copies = shape.multiplicities[v - 1]
-        spots = []
-        p = 0
-        for _ in range(copies):
-            p = w.index(v, p) + 1
-            spots.append(p)
-        lead = shape.prefix[v - 1] + copies
-        for hi in reversed(spots):
-            if hi == n or w[hi] != v:
-                lo = hi
-                while True:
-                    yield lead - (hi - lo), RIGHT, lo, hi
-                    if lo == 1 or w[lo - 2] != v:
-                        break
+        move, back, v = None, w[::-1], m
+        while move is None and v:
+            b, lead = n, prefix[v - 1] + counts[v - 1]  # the rank of w[b - 1]
+            while move is None and lead > prefix[v - 1]:
+                b = a = n - back.index(v, n - b)  # the end of the next run of v
+                while a and w[a - 1] == v:
+                    a -= 1
+                lo = b
+                while move is None and lo > a:  # w[lo:b] rightward past w[b:e]
                     lo -= 1
-                start = lo
-            yield lead, LEFT, start, hi
-            lead -= 1
+                    e = b
+                    while move is None and e < n and w[e] < v:
+                        e += 1
+                        x = w[:lo] + w[b:e] + w[lo:b] + w[e:]
+                        if x in visited:
+                            break
+                        if member(x):
+                            move = BumpMove(lead + lo + 1 - b, RIGHT, b - lo, e - b, lo + 1)
+                hi = b
+                while move is None and hi > a:  # w[a:hi] leftward past w[e:a]
+                    e = a
+                    while move is None and e and w[e - 1] < v:
+                        e -= 1
+                        x = w[:e] + w[a:hi] + w[e:a] + w[hi:]
+                        if x in visited:
+                            break
+                        if member(x):
+                            move = BumpMove(lead + hi - b, LEFT, hi - a, a - e, hi)
+                    hi -= 1
+                lead -= b - a
+                b = a
+            v -= 1
+        if move is None:
+            return len(visited) - 1
+        w = x
+        visited.add(w)
+        visit(w, move)
 
 
 def _sweep(shape: Shape, start: Word, live: frozenset[Word], visit) -> int:
@@ -288,8 +284,8 @@ def greedy_walk(
     over the language of words avoiding `patterns`; return `(walk, size)`.
     `walk(visit)` walks afresh, calls `visit(word, move)` for each visited
     word with the move into it (None for the start) as the word is chosen,
-    and returns the word count (the word may be a list that the walk
-    reuses); `size` is the language's, so a walk of `size` words is
+    and returns the word count (the word may be a reused list, a tuple or
+    `bytes`); `size` is the language's, so a walk of `size` words is
     complete.  Every refusal (a bad start, the cap) is raised here, before
     any word is walked."""
     first = nondecreasing_word(shape)
@@ -306,9 +302,9 @@ def greedy_walk(
     # shape and so take the packed-word test
     clash = oracle.clash_test(shape, live)
     # from the nondecreasing word a zig-zag language is swept on the tree,
-    # and one with no live pattern is walked in place
+    # and one with no live pattern walked in place, if it has a second word
     sweep = word == first and all(map(zigzag_pattern, live))
-    free = word == first and not live
+    free = word == first and not live and size > 1
     if free:
         from . import plain  # plain imports stirling, which imports greedy
 
@@ -318,8 +314,7 @@ def greedy_walk(
         visit(word, None)
         if sweep:
             return 1 + _sweep(shape, word, live, visit)
-        packed = lambda w, move: visit(tuple(w), move)
-        return 1 + _scan(shape, _key(word), lambda w: not clash(w), packed)
+        return 1 + _scan(shape, _key(word), lambda w: not clash(w), visit)
 
     return walk, size
 
@@ -393,8 +388,8 @@ def verify_feed(
     move is applied to the previous word (`bump_window`); when it gives
     this word, the word has the shape by induction from the first, its
     membership is tested on its bytes (`oracle.clash_test`, for {212} one
-    compiled search), and only the inside of the move's window can change
-    more positions.  Any other word is validated,
+    compiled search; none with no live pattern), and only the inside of
+    the move's window can change more positions.  Any other word is validated,
     tested and classified as the references do, so the counterexamples are
     theirs.  The first copy of a repeated word is found by running the
     feed again.  Exhaustiveness is decided by count against `size`, the
@@ -426,7 +421,7 @@ def verify_feed(
             # the recorded move is the bump into the word, which so has the
             # shape; both ends of the window change, so only its interior
             # can add to the two changed positions
-            if all_member and clash(key):
+            if live and all_member and clash(key):
                 all_member = False
                 counterexamples["all_member"] = (k, tuple(word))
             if transpositions_only:

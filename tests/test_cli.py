@@ -880,7 +880,7 @@ class TestWriteSchedule:
         writes, lists = [], []
         real = cli._write_chunks
 
-        def spied(feed, convert, render, sep=""):
+        def spied(feed, convert, render, sep="", steps=False):
             marks = []  # the write and the items of each chunk of one list
             lists.append(marks)
 
@@ -888,7 +888,7 @@ class TestWriteSchedule:
                 marks.append((len(writes), len(kept)))
                 return render(kept)
 
-            return real(feed, convert, measured, sep)
+            return real(feed, convert, measured, sep, steps)
 
         monkeypatch.setattr(cli, "_write_chunks", spied)
         monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
@@ -1059,3 +1059,18 @@ class TestImport:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_a_one_word_language_leaves_the_plain_walk_out(self):
+        # `generate --shape 1` has one word, its start: compiling `plain`
+        # for it took about 1 ms of the command's start
+        env = dict(os.environ, PYTHONPATH=SRC)
+        code = (
+            "import sys; from swordgen.cli import parse_and_dispatch;"
+            "code = parse_and_dispatch(['generate', '--shape', '1']);"
+            "print(code, 'swordgen.plain' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["1", "0 False"]
